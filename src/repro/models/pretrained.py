@@ -23,7 +23,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ..nn import Module
-from ..utils import artifacts_dir, atomic_write_text, atomic_writer
+from ..utils import artifacts_dir, atomic_write_text, atomic_writer, canonical_json
 
 __all__ = ["pretrained_key", "load_checkpoint", "save_checkpoint", "get_pretrained_state"]
 
@@ -36,8 +36,15 @@ def pretrained_key(
     train_config: Dict,
     seed: int,
 ) -> str:
-    """Stable hash identifying one pretraining configuration."""
-    blob = json.dumps(
+    """Stable hash identifying one pretraining configuration.
+
+    Hashed through :func:`~repro.utils.canonical_json`, exactly like
+    ``spec_hash``: a non-JSON-native value (a tuple, a set, an object)
+    raises ``TypeError`` naming its path instead of aliasing another
+    configuration through its ``str()``.  Keys of JSON-native
+    configurations are unchanged, so existing checkpoints keep loading.
+    """
+    blob = canonical_json(
         {
             "model": model_name,
             "model_kwargs": model_kwargs,
@@ -45,9 +52,7 @@ def pretrained_key(
             "dataset_kwargs": dataset_kwargs,
             "train": train_config,
             "seed": seed,
-        },
-        sort_keys=True,
-        default=str,
+        }
     )
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 

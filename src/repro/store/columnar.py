@@ -22,6 +22,15 @@ segment: a crash mid-append leaves an unreferenced directory that
 ``compact`` sweeps.  Readers trust only the manifest; anything on disk it
 does not name does not exist.
 
+The manifest is compact single-line JSON.  Each store instance remembers
+the exact text of its last append's manifest; when the manifest on disk
+is still that text, the next append splices its entry onto the end of the
+segment list and re-encodes only the small head (schema, fingerprint,
+rows, columns) instead of parsing and re-encoding every entry.  Any other
+manifest — another writer's append, ``compact``, ``analyze``, a hand edit,
+an older indented file — is parsed and re-encoded whole, the reference
+path the splice is byte-equal to.
+
 Row identity and supersession: a segment written with ``keys`` (spec
 hashes) is *keyed*.  When every segment is keyed, ``to_frame()``
 deduplicates by key with the last-sealed occurrence winning — re-running a
@@ -45,6 +54,7 @@ import hashlib
 import json
 import os
 import time
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -301,6 +311,82 @@ def _pool_may_match(name: str, cond: Any, stats: Dict[str, Any]) -> bool:
     return _values_may_match(name, cond, values)
 
 
+# -- manifest encoding ---------------------------------------------------
+def _segment_identity(entry: Dict[str, Any]) -> List[Any]:
+    """What the manifest fingerprint hashes of one segment entry (stats are
+    deliberately left out, so a backfill never changes row identity)."""
+    return [entry["name"], entry["rows"], entry["fingerprint"]]
+
+
+def _manifest_fingerprint(
+    schema: Any, columns: List[str], identities: List[List[Any]]
+) -> str:
+    return hashlib.sha256(
+        canonical_json(
+            {"schema": schema, "columns": columns, "segments": identities}
+        ).encode()
+    ).hexdigest()
+
+
+def _union_columns(columns: List[str], entry: Dict[str, Any]) -> List[str]:
+    """``columns`` extended by the entry's new columns, in entry order."""
+    return columns + [name for name in entry["columns"] if name not in columns]
+
+
+def _encode_manifest(manifest: Dict[str, Any]) -> str:
+    """Recompute ``rows``/``fingerprint`` and encode the whole manifest —
+    the reference encoding every spliced append is byte-equal to."""
+    segments = manifest["segments"]
+    manifest["rows"] = sum(s["rows"] for s in segments)
+    manifest["fingerprint"] = _manifest_fingerprint(
+        manifest["schema"],
+        manifest["columns"],
+        [_segment_identity(s) for s in segments],
+    )
+    return json.dumps(manifest, allow_nan=False)
+
+
+def _segments_prefix(head: Dict[str, Any]) -> str:
+    """The encoded manifest up to its first segment entry, for a manifest
+    whose keys are ``head``'s followed by ``"segments"``."""
+    return json.dumps(head, allow_nan=False)[:-1] + ', "segments": ['
+
+
+@dataclass(frozen=True)
+class _Published:
+    """A manifest this store instance wrote, in a form an append can extend
+    without parsing it: the exact text, the manifest minus ``segments``,
+    and the fingerprint's inputs per segment."""
+
+    text: str
+    head: Dict[str, Any]
+    identities: List[List[Any]]
+
+    @classmethod
+    def of(cls, manifest: Dict[str, Any], text: str) -> Optional["_Published"]:
+        """State for ``text`` (``_encode_manifest(manifest)``), or None when
+        ``segments`` is not its last key and so cannot be spliced onto."""
+        head = {k: v for k, v in manifest.items() if k != "segments"}
+        if not (text.startswith(_segments_prefix(head)) and text.endswith("]}")):
+            return None
+        return cls(text, head, [_segment_identity(s) for s in manifest["segments"]])
+
+    def append(self, entry: Dict[str, Any]) -> "_Published":
+        """This manifest with ``entry`` sealed onto its end: the text
+        ``_encode_manifest`` would produce, built from the old text."""
+        head = dict(self.head)
+        head["columns"] = _union_columns(self.head["columns"], entry)
+        identities = self.identities + [_segment_identity(entry)]
+        head["rows"] = sum(identity[1] for identity in identities)
+        head["fingerprint"] = _manifest_fingerprint(
+            head["schema"], head["columns"], identities
+        )
+        entries = self.text[len(_segments_prefix(self.head)) : -2]
+        new_entry = (", " if entries else "") + json.dumps(entry, allow_nan=False)
+        text = "".join((_segments_prefix(head), entries, new_entry, "]}"))
+        return _Published(text, head, identities)
+
+
 def _fill_may_match(name: str, cond: Any, target: str) -> bool:
     """Whether the union fill value (NaN / None) of a column absent from a
     segment can satisfy the condition."""
@@ -328,6 +414,8 @@ class ColumnStore:
     def __init__(self, root, lock_timeout: float = 30.0) -> None:
         self.root = Path(root)
         self.lock_timeout = float(lock_timeout)
+        #: the manifest this instance's last append published
+        self._published: Optional[_Published] = None
 
     # -- paths / manifest -------------------------------------------------
     @property
@@ -341,12 +429,18 @@ class ColumnStore:
     def exists(self) -> bool:
         return self.manifest_path.is_file()
 
-    def _read_manifest(self) -> Optional[Dict[str, Any]]:
+    def _read_manifest_text(self) -> Optional[str]:
         try:
-            manifest = json.loads(self.manifest_path.read_text())
+            return self.manifest_path.read_text()
         except FileNotFoundError:
             return None
-        except (OSError, json.JSONDecodeError) as exc:
+        except OSError as exc:
+            raise StoreError(f"unreadable store manifest {self.manifest_path}: {exc}")
+
+    def _parse_manifest(self, text: str) -> Dict[str, Any]:
+        try:
+            manifest = json.loads(text)
+        except json.JSONDecodeError as exc:
             raise StoreError(f"unreadable store manifest {self.manifest_path}: {exc}")
         if not isinstance(manifest, dict) or not isinstance(
             manifest.get("segments"), list
@@ -360,10 +454,10 @@ class ColumnStore:
         return manifest
 
     def _require_manifest(self) -> Dict[str, Any]:
-        manifest = self._read_manifest()
-        if manifest is None:
+        text = self._read_manifest_text()
+        if text is None:
             raise FileNotFoundError(f"no store at {self.root} (missing {_MANIFEST})")
-        return manifest
+        return self._parse_manifest(text)
 
     def _empty_manifest(self) -> Dict[str, Any]:
         return {
@@ -374,23 +468,9 @@ class ColumnStore:
             "segments": [],
         }
 
-    def _write_manifest(self, manifest: Dict[str, Any]) -> None:
-        manifest["rows"] = sum(s["rows"] for s in manifest["segments"])
-        manifest["fingerprint"] = hashlib.sha256(
-            canonical_json(
-                {
-                    "schema": manifest["schema"],
-                    "columns": manifest["columns"],
-                    "segments": [
-                        [s["name"], s["rows"], s["fingerprint"]]
-                        for s in manifest["segments"]
-                    ],
-                }
-            ).encode()
-        ).hexdigest()
-        atomic_write_text(
-            self.manifest_path, json.dumps(manifest, indent=1, allow_nan=False)
-        )
+    def _write_manifest(self, text: str) -> None:
+        """Publish ``text`` as the manifest (atomic replace)."""
+        atomic_write_text(self.manifest_path, text)
 
     def fingerprint(self) -> str:
         """The manifest fingerprint: changes iff the stored rows change."""
@@ -455,13 +535,33 @@ class ColumnStore:
         self.root.mkdir(parents=True, exist_ok=True)
         self._acquire_lock()
         try:
-            manifest = self._read_manifest() or self._empty_manifest()
-            entry = self._seal_segment(manifest, columns, keys)
-            manifest["segments"].append(entry)
-            for name in columns:
-                if name not in manifest["columns"]:
-                    manifest["columns"].append(name)
-            self._write_manifest(manifest)
+            on_disk = self._read_manifest_text()
+            published = self._published
+            if published is not None and on_disk == published.text:
+                # our own last publish: splice, no parse or full encode
+                entry = self._seal_segment(
+                    self._next_seq(name for name, _, _ in published.identities),
+                    columns,
+                    keys,
+                )
+                published = published.append(entry)
+                text = published.text
+            else:
+                if on_disk is None:
+                    manifest = self._empty_manifest()
+                else:
+                    manifest = self._parse_manifest(on_disk)
+                entry = self._seal_segment(
+                    self._next_seq(s["name"] for s in manifest["segments"]),
+                    columns,
+                    keys,
+                )
+                manifest["segments"].append(entry)
+                manifest["columns"] = _union_columns(manifest["columns"], entry)
+                text = _encode_manifest(manifest)
+                published = _Published.of(manifest, text)
+            self._write_manifest(text)
+            self._published = published
         finally:
             self._release_lock()
         return entry
@@ -478,11 +578,13 @@ class ColumnStore:
             frame = ResultFrame.from_records(rows)
         return self.append_frame(frame, keys=keys)
 
-    def _next_seq(self, manifest: Dict[str, Any]) -> int:
+    def _next_seq(self, names: Iterable[str]) -> int:
+        """One past every sequence number in ``names`` (the manifest's
+        segments) and in the segments directory."""
         seqs = [0]
-        for entry in manifest["segments"]:
+        for name in names:
             try:
-                seqs.append(int(entry["name"].split("-")[1]) + 1)
+                seqs.append(int(name.split("-")[1]) + 1)
             except (IndexError, ValueError):
                 pass
         if self.segments_dir.is_dir():
@@ -497,11 +599,10 @@ class ColumnStore:
 
     def _seal_segment(
         self,
-        manifest: Dict[str, Any],
+        seq: int,
         columns: Dict[str, np.ndarray],
         keys: Optional[Sequence[str]],
     ) -> Dict[str, Any]:
-        seq = self._next_seq(manifest)
         tmp = self.segments_dir / f".tmp-{os.getpid()}-{seq}"
         tmp.mkdir(parents=True)
         col_kinds: Dict[str, str] = {}
@@ -1006,14 +1107,15 @@ class ColumnStore:
             before_segments = len(manifest["segments"])
             before_rows = manifest["rows"]
             frame, keys = self._load_frame()
+            seq = self._next_seq(s["name"] for s in manifest["segments"])
             manifest["segments"] = []
             if len(frame):
                 columns = {name: frame[name] for name in frame.columns}
                 entry = self._seal_segment(
-                    manifest, columns, None if keys is None else keys.tolist()
+                    seq, columns, None if keys is None else keys.tolist()
                 )
                 manifest["segments"] = [entry]
-            self._write_manifest(manifest)
+            self._write_manifest(_encode_manifest(manifest))
             swept = self._sweep_unreferenced(manifest)
         finally:
             self._release_lock()
@@ -1047,7 +1149,7 @@ class ColumnStore:
                 entry["stats"] = self._stats_from_disk(entry)
                 analyzed += 1
             if analyzed:
-                self._write_manifest(manifest)
+                self._write_manifest(_encode_manifest(manifest))
         finally:
             self._release_lock()
         return {"segments": len(manifest["segments"]), "analyzed": analyzed}

@@ -10,6 +10,7 @@ methods from *different* initial models is a classic pitfall.
 from __future__ import annotations
 
 import os
+import threading
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -31,12 +32,14 @@ def atomic_writer(path: Path):
     The write-then-``os.replace`` dance makes concurrent readers see either
     the old complete file or the new complete file, never a torn one —
     required for checkpoint/result stores shared by parallel sweep workers.
-    On an exception (or a crash) the target is untouched and the temp file
-    is cleaned up where possible.
+    The temp name carries the process id and the thread ident, so two
+    threads writing the same path never share a temp file.  On an
+    exception (or a crash) the target is untouched and the temp file is
+    cleaned up where possible.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
+    tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}-{threading.get_ident()}")
     try:
         yield tmp
         os.replace(tmp, path)

@@ -1,16 +1,28 @@
 """Shared fixtures: isolated artifact cache, small models and datasets."""
 
 import os
+import shutil
+import tempfile
 
-# Route all checkpoint/figure artifacts produced by tests to a throwaway
-# location BEFORE repro is imported anywhere.
-os.environ.setdefault("REPRO_ARTIFACTS", "/tmp/repro_test_artifacts")
+# Route all checkpoint/figure artifacts produced by tests to a fresh
+# per-session directory BEFORE repro is imported anywhere, so no checkpoint
+# or cached row from an earlier session (or older code) can serve this one.
+# An explicitly set REPRO_ARTIFACTS is respected and left in place.
+_SESSION_ARTIFACTS = None
+if "REPRO_ARTIFACTS" not in os.environ:
+    _SESSION_ARTIFACTS = tempfile.mkdtemp(prefix="repro-test-artifacts-")
+    os.environ["REPRO_ARTIFACTS"] = _SESSION_ARTIFACTS
 
 import numpy as np
 import pytest
 
 from repro.data import SyntheticCIFAR10
 from repro.models import create_model
+
+
+def pytest_sessionfinish(session, exitstatus):
+    if _SESSION_ARTIFACTS is not None:
+        shutil.rmtree(_SESSION_ARTIFACTS, ignore_errors=True)
 
 
 @pytest.fixture

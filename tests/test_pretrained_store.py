@@ -41,6 +41,22 @@ class TestKeying:
         assert (pretrained_key("m", {}, "d", {}, cfg_a, 0)
                 != pretrained_key("m", {}, "d", {}, cfg_b, 0))
 
+    def test_json_native_key_is_pinned(self):
+        # computed by earlier releases: existing checkpoints keep their key
+        cfg = TrainConfig(epochs=2, batch_size=32,
+                          optimizer=OptimizerConfig("adam", 0.002),
+                          early_stop_patience=None)
+        key = pretrained_key(
+            "lenet-300-100", {"input_size": 8, "in_channels": 3}, "cifar10",
+            {"n_train": 128, "n_val": 64, "size": 8, "noise": 0.5},
+            cfg.to_dict(), 0)
+        assert key == "2539fa11d5e5df79"
+
+    def test_tuple_kwarg_fails_naming_its_path(self):
+        # str((3, 8)) would alias the string "(3, 8)"; refuse instead
+        with pytest.raises(TypeError, match=r"model_kwargs\.shape"):
+            pretrained_key("m", {"shape": (3, 8)}, "d", {}, _cfg().to_dict(), 0)
+
 
 class TestStore:
     def test_save_load_roundtrip(self, tmp_path, monkeypatch):

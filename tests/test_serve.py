@@ -26,6 +26,7 @@ from repro.analysis import (
     build_report,
     compile_query,
     load_frame,
+    queue_outstanding,
     report_json_text,
     run_query,
 )
@@ -67,14 +68,19 @@ def _spec(strategy, compression, seed):
                           compression=float(compression), seed=seed)
 
 
-def _complete_cell(queue, cache, row):
-    """Submit + claim + complete one cell and publish its result row."""
+def _complete_cell(queue, cache, row, observe=lambda: None):
+    """Submit + claim + complete one cell and publish its result row;
+    ``observe()`` runs after each of those four on-disk steps."""
     spec = _spec(row.strategy, row.compression, row.seed)
     queue.submit(spec)
+    observe()
     claim = queue.claim("test-worker")
     assert claim is not None
+    observe()
     cache.put(spec, row)
+    observe()
     queue.complete(claim)
+    observe()
 
 
 # ---------------------------------------------------------------------------
@@ -510,9 +516,17 @@ class TestConcurrentReload:
             _complete_cell(queue, cache, row)
 
         query = {"sort": ["strategy", "compression", "seed"]}
-        frame1 = ResultFrame.from_queue(queue.root)
-        valid_rows = [run_query(frame1, query)["rows"]]
-        valid_reports = [json.loads(report_json_text(build_report(frame1)))]
+        valid_rows, valid_reports = [], []
+
+        def whitelist():
+            # the generation on disk now, reported the way the server and
+            # `repro report` report a queue: with its outstanding counts
+            frame = ResultFrame.from_queue(queue.root)
+            valid_rows.append(run_query(frame, query)["rows"])
+            valid_reports.append(json.loads(report_json_text(build_report(
+                frame, outstanding=queue_outstanding(queue.root)))))
+
+        whitelist()
 
         srv = ResultsServer([FrameSource("q", queue.root)],
                             reload_interval=0.05)
@@ -550,14 +564,11 @@ class TestConcurrentReload:
         try:
             time.sleep(0.15)
             # grow the queue mid-flight: workers publish a second seed one
-            # cell at a time, so EVERY completion prefix is a legitimate
-            # on-disk generation the reloader may capture — whitelist each
+            # cell at a time, so EVERY on-disk state along the way — a cell
+            # pending, leased, cached, done — is a legitimate generation
+            # the reloader may capture; whitelist each
             for row in phase2:
-                _complete_cell(queue, cache, row)
-                frame2 = ResultFrame.from_queue(queue.root)
-                valid_rows.append(run_query(frame2, query)["rows"])
-                valid_reports.append(
-                    json.loads(report_json_text(build_report(frame2))))
+                _complete_cell(queue, cache, row, observe=whitelist)
             # keep reading until the server demonstrably serves the final
             # (fully drained) generation
             deadline = time.time() + 10.0

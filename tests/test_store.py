@@ -23,6 +23,7 @@ from repro.experiment.prune import ExperimentSpec
 from repro.experiment.queue import QueueWorker, WorkQueue
 from repro.experiment.results import PruningResult
 from repro.store import ColumnStore, StoreError, StoreLockTimeout, is_store_dir
+from repro.store import columnar
 
 
 def synth_spec(i: int) -> ExperimentSpec:
@@ -316,6 +317,143 @@ class TestColumnEdgeCases:
         assert store.append_frame(ResultFrame.from_records([])) is None
         with pytest.raises(FileNotFoundError):
             store.to_frame()
+
+
+# ---------------------------------------------------------------------------
+# the append path: splicing onto the writer's own last manifest
+# ---------------------------------------------------------------------------
+
+#: three appends — the middle one keyed and adding a column, the last one
+#: dropping two — whose manifest fingerprint must never drift
+PINNED_APPENDS = [
+    ([{"i": 1, "f": 0.5, "s": "alpha"},
+      {"i": 2, "f": float("nan"), "s": "beta"}], None),
+    ([{"i": 5, "f": float("inf"), "s": None, "t": 7}], ["k1"]),
+    ([{"i": -3, "s": "alpha"}], None),
+]
+
+
+def append_pinned(store: ColumnStore) -> None:
+    for records, keys in PINNED_APPENDS:
+        store.append_frame(ResultFrame.from_records(records), keys=keys)
+
+
+def reference_text(store: ColumnStore) -> str:
+    """The manifest as the parse-plus-full-encode path writes it."""
+    return columnar._encode_manifest(json.loads(store.manifest_path.read_text()))
+
+
+def count_manifest_parses(monkeypatch) -> list:
+    """Record every ``json.loads`` call made on a manifest's text."""
+    calls = []
+    real_loads = json.loads
+
+    def loads(text, *args, **kwargs):
+        if isinstance(text, str) and text.startswith('{"schema"'):
+            calls.append(text)
+        return real_loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(columnar.json, "loads", loads)
+    return calls
+
+
+class TestManifestSplice:
+    def test_spliced_manifest_equals_reference_encoding(self, tmp_path):
+        store = ColumnStore(tmp_path / "store")
+        batches = [
+            [{"a": 1, "b": "x"}],
+            [{"a": 2, "b": "y", "c": 0.5}],     # new column partway through
+            [{"d": float("-inf")}],            # only a new column
+            [{"a": 3, "b": None, "c": float("nan"), "d": 1.0, "e": [1, 2]}],
+        ]
+        for i, records in enumerate(batches):
+            store.append_frame(ResultFrame.from_records(records),
+                               keys=[f"k{i}"] if i % 2 else None)
+            text = store.manifest_path.read_text()
+            assert "\n" not in text
+            assert text == json.dumps(json.loads(text), allow_nan=False)
+            assert text == reference_text(store)
+        assert store.to_frame().columns == ["a", "b", "c", "d", "e"]
+        assert store.rows() == 4
+
+    def test_unchanged_manifest_is_never_parsed(self, tmp_path, monkeypatch):
+        store = ColumnStore(tmp_path / "store")
+        store.append_frame(ResultFrame.from_records([{"a": 0}]))
+        parses = count_manifest_parses(monkeypatch)
+        for i in range(1, 4):
+            store.append_frame(ResultFrame.from_records([{"a": i, "b": "x"}]))
+        assert parses == []
+        # the counter does see the parse a fresh instance has to make
+        ColumnStore(store.root).append_frame(ResultFrame.from_records([{"a": 4}]))
+        assert len(parses) == 1
+        monkeypatch.undo()
+        assert store.to_frame().column("a").tolist() == [0, 1, 2, 3, 4]
+
+    def test_alternating_writers_lose_no_segment(self, tmp_path):
+        root = tmp_path / "store"
+        a, b = ColumnStore(root), ColumnStore(root)
+        order = [a, a, b, a, b, b, a]
+        for i, writer in enumerate(order):
+            writer.append_frame(ResultFrame.from_records([{"n": i}]),
+                                keys=[f"key{i}"])
+        fresh = ColumnStore(root)
+        assert fresh.to_frame().column("n").tolist() == list(range(len(order)))
+        assert fresh.keys() == {f"key{i}" for i in range(len(order))}
+        names = [s["name"] for s in fresh.segments()]
+        assert len(set(names)) == len(order)
+        assert a.fingerprint() == b.fingerprint() == fresh.fingerprint()
+        assert fresh.manifest_path.read_text() == reference_text(fresh)
+
+    def test_failed_publish_leaves_no_phantom_segment(self, tmp_path, monkeypatch):
+        store = ColumnStore(tmp_path / "store")
+        store.append_frame(ResultFrame.from_records([{"n": 0}]))
+        store.append_frame(ResultFrame.from_records([{"n": 1}]))
+
+        def disk_full(path, text):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(columnar, "atomic_write_text", disk_full)
+        with pytest.raises(OSError, match="disk full"):
+            store.append_frame(ResultFrame.from_records([{"n": 99}]))
+        monkeypatch.undo()
+        store.append_frame(ResultFrame.from_records([{"n": 2}]))
+        live = [s["name"] for s in store.segments()]
+        on_disk = {p.name for p in store.segments_dir.iterdir()}
+        (phantom,) = on_disk - set(live)
+        assert len(live) == 3
+        # the next sequence number stepped past the unreferenced segment
+        assert int(live[-1].split("-")[1]) > int(phantom.split("-")[1])
+        assert store.to_frame().column("n").tolist() == [0, 1, 2]
+        assert store.manifest_path.read_text() == reference_text(store)
+
+    def test_appends_onto_indented_parent_manifest(self, tmp_path):
+        root = tmp_path / "store"
+        writer = ColumnStore(root)
+        append_pinned(writer)
+        before = writer.to_frame()
+        # the manifest as earlier releases wrote it: same JSON, indented
+        manifest = json.loads(writer.manifest_path.read_text())
+        writer.manifest_path.write_text(
+            json.dumps(manifest, indent=1, allow_nan=False))
+        for store in (ColumnStore(root), writer):
+            assert_frames_identical(store.to_frame(), before)
+        writer.append_frame(ResultFrame.from_records([{"i": 9, "u": "new"}]))
+        text = writer.manifest_path.read_text()
+        assert "\n" not in text and text == reference_text(writer)
+        frame = ColumnStore(root).to_frame()
+        assert len(frame) == len(before) + 1
+        assert frame.columns == before.columns + ["u"]
+        ColumnStore(root).compact()
+        assert ColumnStore(root).to_frame().column("i").tolist() == \
+            before.column("i").tolist() + [9]
+
+    def test_fingerprint_is_pinned(self, tmp_path):
+        # the value earlier releases computed for the same appends: the
+        # compact manifest changes whitespace only, never row identity
+        store = ColumnStore(tmp_path / "store")
+        append_pinned(store)
+        assert store.fingerprint() == (
+            "07aa80c4f0875a70259776435a9e423db87fd14b6dc1c4adf7bc7cc72efa67e2")
 
 
 class TestStoreCLI:

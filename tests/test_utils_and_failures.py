@@ -1,5 +1,10 @@
 """Utility modules + failure-injection tests across subsystems."""
 
+import os
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -10,7 +15,7 @@ from repro.metrics import evaluate
 from repro.models import create_model
 from repro.nn import Linear
 from repro.pruning import GlobalMagWeight, Pruner
-from repro.utils import artifacts_dir, set_blas_threads
+from repro.utils import artifacts_dir, atomic_write_text, set_blas_threads
 from repro.utils.threads import configure_blas_threads_from_env
 
 
@@ -32,6 +37,55 @@ class TestUtils:
     def test_configure_from_env_disabled(self, monkeypatch):
         monkeypatch.setenv("REPRO_BLAS_THREADS", "0")
         configure_blas_threads_from_env()  # no-op
+
+    def test_atomic_writes_from_many_threads_never_tear(self, tmp_path):
+        """Threads of one process replacing the same file (two queue-worker
+        threads caching one baseline row) each publish a whole file."""
+        target = tmp_path / "row.json"
+        n_writers = 2 * (os.cpu_count() or 1) + 2
+        payloads = [f"{i:03d}" * 10_000 for i in range(n_writers)]
+        whole = set(payloads)
+        errors, torn = [], []
+        stop = threading.Event()
+        deadline = time.monotonic() + 5.0
+
+        def writer(payload):
+            try:
+                for _ in range(100):
+                    if time.monotonic() > deadline:
+                        break
+                    atomic_write_text(target, payload)
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                errors.append(exc)
+
+        def reader():
+            while not stop.is_set():
+                try:
+                    text = target.read_text()
+                except FileNotFoundError:
+                    continue  # nothing published yet
+                if text not in whole:
+                    torn.append(len(text))
+
+        readers = [threading.Thread(target=reader) for _ in range(2)]
+        writers = [threading.Thread(target=writer, args=(p,)) for p in payloads]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in readers + writers:
+                t.start()
+            for t in writers:
+                t.join(timeout=30.0)
+        finally:
+            stop.set()
+            for t in readers:
+                t.join(timeout=30.0)
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in readers + writers)
+        assert not errors, errors[:3]
+        assert not torn, torn[:10]
+        assert target.read_text() in whole
+        assert [p.name for p in tmp_path.iterdir()] == ["row.json"]
 
 
 class TestFailureInjection:
