@@ -43,6 +43,9 @@ Frames are *generic*: :meth:`ResultFrame.from_records` builds a frame with
 whatever columns its records carry (the meta-analysis corpus uses this),
 and every query method works on arbitrary columns.
 
+Frames are immutable (columns are read-only views), so a frame keeps the
+factorized codes of every object column it has grouped by.
+
 Constructors are lossless and interchangeable: ``from_results`` /
 ``from_json`` / ``from_cache`` / ``from_queue`` all yield frames whose
 curve data is point-for-point identical for the same sweep — a finished
@@ -127,6 +130,15 @@ def _json_safe(value: Any) -> Any:
     return value
 
 
+#: ``(order, starts, sizes)``: see :meth:`ResultFrame._grouping`
+_Grouping = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _check_stat(stat: str) -> None:
+    if stat not in ("mean", "std", "min", "max"):
+        raise ValueError(f"unknown stat {stat!r} (expected mean/std/min/max)")
+
+
 class ResultFrame:
     """Typed columns + vectorized queries over result rows (see module doc).
 
@@ -142,7 +154,11 @@ class ResultFrame:
         self._columns: Dict[str, np.ndarray] = {}
         length: Optional[int] = None
         for name, values in columns.items():
-            arr = values if isinstance(values, np.ndarray) else _infer_column(list(values))
+            arr = values.view() if isinstance(values, np.ndarray) \
+                else _infer_column(list(values))
+            # frames never change after construction; a read-only view
+            # makes an in-place write raise instead of serving stale groups
+            arr.flags.writeable = False
             if arr.ndim != 1:
                 raise ValueError(f"column {name!r} must be 1-D, got shape {arr.shape}")
             if length is None:
@@ -153,6 +169,9 @@ class ResultFrame:
                 )
             self._columns[name] = arr
         self._length = length or 0
+        #: object column → (sorted distinct values, int64 codes), or None
+        #: when it cannot be factorized; filled by the first grouping
+        self._codes: Dict[str, Optional[Tuple[np.ndarray, np.ndarray]]] = {}
 
     # -- construction ----------------------------------------------------
     @classmethod
@@ -300,7 +319,26 @@ class ResultFrame:
     __getitem__ = column
 
     def unique(self, name: str) -> List[Any]:
-        """Sorted distinct values of a column."""
+        """Sorted distinct values of a column.
+
+        Unwraps only the factorized distinct values where their identity
+        is certain: ints, floats without zeros (``0.0`` and ``-0.0`` are
+        one set member) and plain strings; else :meth:`_unique_rows`.
+        """
+        col = self.column(name)
+        try:
+            uniq = self._factorize(name)[0]
+        except ValueError:
+            return self._unique_rows(name)
+        kind = col.dtype.kind
+        if kind in "iu" or (kind == "f" and not (uniq == 0).any()) or (
+            kind == "O" and all(type(v) is str for v in uniq)
+        ):
+            return [_json_safe(v) for v in uniq]
+        return self._unique_rows(name)
+
+    def _unique_rows(self, name: str) -> List[Any]:
+        """Reference :meth:`unique`: the set of every row's value."""
         return sorted({_json_safe(v) for v in self.column(name)})
 
     def __repr__(self) -> str:
@@ -475,41 +513,86 @@ class ResultFrame:
         return ResultFrame(cols)
 
     # -- grouping / aggregation ------------------------------------------
+    def _factorize(self, name: str) -> Tuple[np.ndarray, np.ndarray]:
+        """``(sorted distinct values, int64 codes)`` of one column.
+
+        An object column's are kept for the frame's lifetime (columns are
+        read-only): sorting objects takes Python comparisons.  A numeric
+        column is sorted in C on every call, so grouping by continuous
+        columns pins no per-row codes.  Threads sharing a frame may both
+        compute an object column's codes; they store equal results.
+        Raises ``ValueError`` for NaN keys (the row loop gives each NaN its
+        own group) and objects ``np.unique`` cannot sort."""
+        if name in self._codes:
+            found = self._codes[name]
+        else:
+            col = self.column(name)
+            found = _factorize_column(col)
+            if col.dtype.kind == "O":
+                self._codes[name] = found
+        if found is None:
+            raise ValueError(f"column {name!r} cannot be factorized")
+        return found
+
     def _key_codes(self, names: Sequence[str]) -> np.ndarray:
         """Dense int64 group codes for the key columns.
 
         Codes are built so that sorting them sorts the key *tuples* in
         Python order (per-column ``np.unique`` order combined
-        lexicographically).  Raises ``TypeError``/``ValueError`` when a
-        column cannot be factorized faithfully — mixed-type object columns
-        (where ``np.unique`` cannot sort), NaN keys (the row loop gives
-        every NaN its own group because ``NaN != NaN``), or a key space too
-        large to combine without overflow — and callers fall back to the
-        row-by-row path.
+        lexicographically).  Raises ``ValueError`` when a column cannot be
+        factorized or the key space would overflow.
         """
         codes: Optional[np.ndarray] = None
         span = 1
         for name in names:
-            col = self.column(name)
-            if col.dtype.kind == "f" and np.isnan(col).any():
-                raise ValueError(f"NaN key values in column {name!r}")
-            uniq, inv = np.unique(col, return_inverse=True)
+            uniq, inv = self._factorize(name)
             span *= max(len(uniq), 1)
             if span > 2**62:
                 raise ValueError("key space too large to factorize")
-            inv = inv.astype(np.int64, copy=False)
             codes = inv if codes is None else codes * np.int64(len(uniq)) + inv
         return codes if codes is not None else np.zeros(len(self), np.int64)
 
-    def _grouped_indices(self, names: Sequence[str], sort: bool) -> List[np.ndarray]:
-        """Row-index arrays, one per group, each in original row order."""
-        codes = self._key_codes(names)
+    def _grouping(self, names: Sequence[str]) -> Optional[_Grouping]:
+        """``(order, starts, sizes)`` for the key columns of a non-empty
+        frame: row indices group by group (groups in key order, rows in
+        original order), where each group begins and its int64 row count;
+        None when a key column cannot be factorized."""
+        try:
+            codes = self._key_codes(names)
+        except ValueError:
+            return None
         order = np.argsort(codes, kind="stable")
-        boundaries = np.flatnonzero(np.diff(codes[order])) + 1
-        groups = np.split(order, boundaries)
-        if not sort:
-            groups.sort(key=lambda idx: idx[0])  # first-appearance order
-        return groups
+        ordered = codes[order]
+        starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+        return order, starts, np.diff(np.r_[starts, len(order)]).astype(np.int64)
+
+    def _reduce(
+        self, grouping: _Grouping, value: str, stats: Sequence[str]
+    ) -> List[np.ndarray]:
+        """Each statistic of ``value`` per group of a :meth:`_grouping`.
+
+        One gather in group order, then :meth:`_stat` per contiguous slice:
+        slices keep numpy's pairwise summation, so every bit matches the
+        group's own sub-frame (``np.add.reduceat`` would not).  Size-1
+        groups are filled vectorized: a sum starts from ``+0.0`` (a lone
+        ``-0.0`` has mean ``0.0``) and one value's std is ``0.0``.
+        """
+        order, starts, sizes = grouping
+        gathered = np.asarray(self.column(value), dtype=np.float64)[order]
+        ends = starts + sizes
+        single = sizes == 1
+        lone = gathered[starts[single]]
+        multi = np.flatnonzero(~single).tolist()
+        out = []
+        for stat in stats:
+            _check_stat(stat)
+            res = np.empty(len(starts))
+            res[single] = 0.0 if stat == "std" else (
+                lone + 0.0 if stat == "mean" else lone)
+            for g in multi:
+                res[g] = self._stat(gathered[starts[g]:ends[g]], stat)
+            out.append(res)
+        return out
 
     def _group_by_rows(
         self, names: Sequence[str], single: bool, sort: bool
@@ -538,19 +621,22 @@ class ResultFrame:
         first appearance (which the meta-analysis figures rely on to keep
         the corpus' curve ordering).
 
-        Grouping is vectorized (factorized codes + one stable argsort);
-        columns the factorizer cannot handle fall back to the equivalent
-        row-by-row path, so arbitrary key types keep working.
+        Grouping is vectorized (:meth:`_grouping`); columns the factorizer
+        cannot handle fall back to the equivalent row-by-row path, so
+        arbitrary key types keep working.
         """
         single = isinstance(keys, str)
         names = (keys,) if single else tuple(keys)
         if not len(self):
             [self.column(n) for n in names]  # unknown keys still raise
             return []
-        try:
-            groups = self._grouped_indices(names, sort=sort)
-        except (TypeError, ValueError):
+        grouping = self._grouping(names)
+        if grouping is None:
             return self._group_by_rows(names, single=single, sort=sort)
+        order, starts, _ = grouping
+        groups = np.split(order, starts[1:])
+        if not sort:
+            groups.sort(key=lambda idx: idx[0])  # first-appearance order
         cols = [self.column(n) for n in names]
         out: List[Tuple[Any, "ResultFrame"]] = []
         for idx in groups:
@@ -562,6 +648,7 @@ class ResultFrame:
     def _stat(values: np.ndarray, stat: str) -> float:
         """One reduction over a float column; non-finite values propagate
         into their own column's statistic and nowhere else."""
+        _check_stat(stat)
         with np.errstate(invalid="ignore", over="ignore"):
             if stat == "mean":
                 return float(values.mean())
@@ -569,11 +656,7 @@ class ResultFrame:
                 return float(values.std(ddof=1)) if len(values) > 1 else 0.0
             if stat == "min":
                 return float(values.min())
-            if stat == "max":
-                return float(values.max())
-        raise ValueError(
-            f"unknown stat {stat!r} (expected mean/std/min/max)"
-        )
+            return float(values.max())
 
     def aggregate(
         self,
@@ -588,7 +671,8 @@ class ResultFrame:
         defaults to every numeric column not used as a key.  Non-finite
         values (``actual_compression`` is legitimately ``inf`` for
         all-pruned masks) propagate through their own column's statistics
-        without touching any other column.
+        without touching any other column.  Keys that cannot be factorized
+        take :meth:`_aggregate_groups`, the per-group reference.
         """
         names = (by,) if isinstance(by, str) else tuple(by)
         if values is None:
@@ -596,6 +680,27 @@ class ResultFrame:
                 c for c, arr in self._columns.items()
                 if c not in names and arr.dtype.kind in "if"
             ]
+        grouping = self._grouping(names) if len(self) else None
+        if grouping is None:
+            return self._aggregate_groups(names, values, stats)
+        order, starts, sizes = grouping
+        first = order[starts]
+        # the column layout _aggregate_groups' records produce
+        columns: Dict[str, np.ndarray] = {
+            name: _infer_column([_json_safe(v) for v in self.column(name)[first]])
+            for name in names
+        }
+        columns["n"] = sizes
+        for value in values:
+            for stat, res in zip(stats, self._reduce(grouping, value, stats)):
+                columns[f"{value}_{stat}"] = res
+        return ResultFrame(columns)
+
+    def _aggregate_groups(
+        self, names: Tuple[str, ...], values: Sequence[str],
+        stats: Sequence[str],
+    ) -> "ResultFrame":
+        """Reference :meth:`aggregate`: a sub-frame per group, reduced."""
         records: List[Dict[str, Any]] = []
         for key, sub in self.group_by(names, sort=True):
             # group_by over a name *tuple* always yields tuple keys, even
@@ -707,14 +812,76 @@ class ResultFrame:
         one copy per strategy.  This transform maps the former onto the
         latter — per (model, dataset), each sentinel row is replicated once
         per strategy that appears in that pair's pruned rows — so all
-        frame sources yield identical curves.  A frame with no sentinel
-        rows (already replicated) is returned unchanged.
+        frame sources yield identical curves.  An already replicated frame
+        (no sentinel row, or none with a strategy to copy to) is returned
+        unchanged.
+
+        The copies are an index gather; columns it cannot reproduce exactly
+        take :meth:`_replicate_baselines_records`, the reference.
         """
         if "strategy" not in self._columns or not len(self):
             return self
         sentinel = self.mask(strategy=BASELINE_STRATEGY)
         if not sentinel.any():
             return self
+        gathered = self._replicate_baselines_gathered(sentinel, strategies)
+        if gathered is not None:
+            return gathered
+        return self._replicate_baselines_records(strategies)
+
+    def _replicate_baselines_gathered(
+        self, sentinel: np.ndarray, strategies: Optional[Sequence[str]]
+    ) -> Optional["ResultFrame"]:
+        """``np.repeat`` of row indices plus a rewritten ``strategy`` (each
+        clone's ``extra`` dict copied), or None where the records path's
+        output would differ: unfactorizable pair or strategy keys, or a
+        column :func:`_infer_column` would pack into another dtype."""
+        try:
+            strat_uniq, strat_codes = self._factorize("strategy")
+            pair = np.zeros(len(self), dtype=np.int64)
+            for name in ("model", "dataset"):  # a missing column is all-None
+                if name in self._columns:
+                    uniq, codes = self._factorize(name)
+                    pair = pair * np.int64(len(uniq)) + codes
+        except ValueError:
+            return None
+        strat_col = self.column("strategy")
+        # each pair's pruned strategies, in order of first appearance
+        pruned = np.flatnonzero(~sentinel)
+        combined = pair[pruned] * np.int64(len(strat_uniq)) + strat_codes[pruned]
+        first = np.sort(np.unique(combined, return_index=True)[1])
+        by_pair: Dict[int, List[Any]] = {}
+        for row in pruned[first].tolist():
+            by_pair.setdefault(int(pair[row]), []).append(
+                _json_safe(strat_col[row]))
+        sent_idx = np.flatnonzero(sentinel)
+        targets = [strategies or by_pair.get(p, []) for p in pair[sent_idx].tolist()]
+        repeats = np.ones(len(self), dtype=np.int64)
+        repeats[sent_idx] = [max(len(t), 1) for t in targets]
+        rows = np.repeat(np.arange(len(self)), repeats)
+        columns = {name: col[rows] for name, col in self._columns.items()}
+        strategy, extra = columns["strategy"], columns.get("extra")
+        at = np.cumsum(repeats) - repeats  # each input row's first copy
+        for row, names in zip(sent_idx.tolist(), targets):
+            if not names:
+                continue  # nothing to replicate against: kept as-is
+            start = int(at[row])
+            for k, name in enumerate(names, start):
+                strategy[k] = name
+                if extra is not None and isinstance(extra[k], dict):
+                    extra[k] = dict(extra[k])
+        for col in columns.values():
+            if not (col.dtype in (np.int64, np.float64)
+                    or (col.dtype.kind == "O" and _stays_object(col))):
+                return None
+        # no sentinel had a strategy to copy to: already replicated
+        return ResultFrame(columns) if any(targets) else self
+
+    def _replicate_baselines_records(
+        self, strategies: Optional[Sequence[str]] = None
+    ) -> "ResultFrame":
+        """Reference :meth:`replicate_baselines`: every row through a
+        record dict and back (kept for fallback + equivalence tests)."""
         records = self.to_records()
         by_pair: Dict[Tuple, List[str]] = {}
         for rec in records:
@@ -755,8 +922,10 @@ class ResultFrame:
         )
 
     def ok(self) -> "ResultFrame":
-        """Rows that actually executed (quarantined cells dropped)."""
-        return self.take(~self.failed_mask())
+        """Rows that actually executed (quarantined cells dropped); the
+        frame itself when none was quarantined."""
+        failed = self.failed_mask()
+        return self.take(~failed) if failed.any() else self
 
     def failures(self) -> "ResultFrame":
         """Only the quarantined placeholder rows."""
@@ -764,9 +933,33 @@ class ResultFrame:
 
     # -- curves / frontiers ----------------------------------------------
     def curve(self, x: str = "compression", y: str = "top1") -> List[CurvePoint]:
-        """Mean ± sample std of ``y`` at each ``x`` (§6), sorted by x."""
+        """Mean ± sample std of ``y`` at each ``x`` (§6), sorted by x;
+        :meth:`_curve_groups` when ``x`` cannot be factorized."""
         if not len(self):
             return []
+        grouping = self._grouping((x,))
+        if grouping is None:
+            return self._curve_groups(x, y)
+        return self._curve_points(grouping, x, y)
+
+    def _curve_points(
+        self, grouping: _Grouping, x: str, y: str
+    ) -> List[CurvePoint]:
+        order, starts, sizes = grouping
+        mean, std = self._reduce(grouping, y, ("mean", "std"))
+        keys = self.column(x)[order[starts]]
+        # tolist() unwraps numeric keys in one pass, as _json_safe would
+        xs = keys.tolist() if keys.dtype.kind in "iuf" \
+            else [_json_safe(v) for v in keys]
+        # positional CurvePoint(x, mean, std, n): a curve over distinct x
+        # values spends most of its time building points
+        return [
+            CurvePoint(float(xv), m, s, n) for xv, m, s, n
+            in zip(xs, mean.tolist(), std.tolist(), sizes.tolist())
+        ]
+
+    def _curve_groups(self, x: str, y: str) -> List[CurvePoint]:
+        """Reference :meth:`curve`: a sub-frame per x value, reduced."""
         points = []
         for xv, sub in self.group_by(x, sort=True):
             ys = np.asarray(sub.column(y), dtype=np.float64)
@@ -786,11 +979,37 @@ class ResultFrame:
         x: str = "compression",
         y: str = "top1",
     ) -> Dict[Any, List[CurvePoint]]:
-        """One aggregated curve per group value, keyed and sorted by group."""
+        """One aggregated curve per group value, keyed and sorted by group.
+
+        Grouped once by ``(group, x)``; each curve is a run of those groups,
+        keyed by its first row.  Unfactorizable keys take
+        :meth:`_tradeoff_curves_groups`.
+        """
         if not len(self):
             return {}
+        grouping = self._grouping((group, x))
+        if grouping is None:
+            return self._tradeoff_curves_groups(group, x, y)
+        order, starts, _ = grouping
+        points = self._curve_points(grouping, x, y)
+        # group values at each (group, x) start; a curve ends where its
+        # value changes (the != np.unique itself tells values apart by)
+        firsts = self.column(group)[order[starts]]
+        runs = np.flatnonzero(np.r_[True, firsts[1:] != firsts[:-1]])
+        keys = self.column(group)[np.minimum.reduceat(order[starts], runs)]
+        bounds = np.r_[runs, len(starts)].tolist()
         return {
-            key: sub.curve(x=x, y=y) for key, sub in self.group_by(group, sort=True)
+            _json_safe(key): points[lo:hi]
+            for key, lo, hi in zip(keys, bounds[:-1], bounds[1:])
+        }
+
+    def _tradeoff_curves_groups(
+        self, group: str, x: str, y: str
+    ) -> Dict[Any, List[CurvePoint]]:
+        """Reference :meth:`tradeoff_curves`: per-group sub-frames."""
+        return {
+            key: sub._curve_groups(x, y)
+            for key, sub in self.group_by(group, sort=True)
         }
 
     def pareto_frontier(
@@ -807,11 +1026,85 @@ class ResultFrame:
             return self
         xs = np.asarray(self.column(x), dtype=np.float64)
         ys = np.asarray(self.column(y), dtype=np.float64)
-        ge_x = xs[None, :] >= xs[:, None]
-        ge_y = ys[None, :] >= ys[:, None]
-        strict = (xs[None, :] > xs[:, None]) | (ys[None, :] > ys[:, None])
-        dominated = (ge_x & ge_y & strict).any(axis=1)
-        return self.take(~dominated).sort_by(x)
+        return self.take(~_dominated(xs, ys)).sort_by(x)
+
+
+def _factorize_column(col: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """``np.unique(col, return_inverse=True)`` with read-only int64 codes,
+    or None for NaN keys and for objects ``np.unique`` cannot sort."""
+    try:
+        found = _factorize_strings(col) if col.dtype.kind == "O" else None
+        if found is not None:
+            return found
+        if col.dtype.kind == "f" and np.isnan(col).any():
+            return None
+        uniq, inv = np.unique(col, return_inverse=True)
+    except (TypeError, ValueError):
+        return None
+    inv = inv.astype(np.int64, copy=False)
+    inv.flags.writeable = False
+    return uniq, inv
+
+
+def _factorize_strings(col: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """:func:`_factorize_column` for objects that are all ``str``: a hash
+    pass over the rows and a sort of the distinct values, where
+    ``np.unique`` sorts every row by Python comparisons.  Equal strings are
+    interchangeable, so the result is ``np.unique``'s; None otherwise."""
+    index: Dict[Any, int] = {}
+    try:
+        first_seen = [index.setdefault(v, len(index)) for v in col]
+    except TypeError:  # unhashable values
+        return None
+    if not all(type(v) is str for v in index):
+        return None
+    uniq = np.empty(len(index), dtype=object)
+    uniq[:] = sorted(index)
+    rank = np.empty(len(index), dtype=np.int64)
+    rank[[index[v] for v in uniq]] = np.arange(len(index))
+    inv = rank[np.asarray(first_seen, dtype=np.int64)]
+    inv.flags.writeable = False
+    return uniq, inv
+
+
+def _stays_object(col: np.ndarray) -> bool:
+    """True when :func:`_infer_column` keeps ``col`` an object column, as
+    its first non-None value shows by not being a number (bools are not);
+    False when that value cannot show it."""
+    for value in col:
+        if value is not None:
+            value = _json_safe(value)
+            return isinstance(value, bool) or not isinstance(value, (int, float))
+    return False
+
+
+def _dominated(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Rows another row beats (≥ on both axes, > on at least one): by a
+    larger-x row with y at least its own, or an equal-x row with a larger
+    y.  One sort gives the best y at each x and beyond it.  NaN rows
+    compare False (never dominated, never dominate); ``±inf`` compare
+    normally.  :func:`_dominated_pairwise` is the reference."""
+    out = np.zeros(len(xs), dtype=bool)
+    valid = ~(np.isnan(xs) | np.isnan(ys))
+    if not valid.any():
+        return out
+    vy = ys[valid]
+    _, inv = np.unique(xs[valid], return_inverse=True)  # -0.0 == 0.0
+    order = np.argsort(inv, kind="stable")
+    block_max = np.maximum.reduceat(vy[order], np.flatnonzero(
+        np.r_[True, np.diff(inv[order]) != 0]))
+    # best y at a strictly larger x; NaN (compares False) past the last
+    beyond = np.r_[np.maximum.accumulate(block_max[::-1])[::-1][1:], np.nan]
+    out[valid] = (beyond[inv] >= vy) | (block_max[inv] > vy)
+    return out
+
+
+def _dominated_pairwise(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Reference :func:`_dominated`: three n × n comparison matrices."""
+    ge_x = xs[None, :] >= xs[:, None]
+    ge_y = ys[None, :] >= ys[:, None]
+    strict = (xs[None, :] > xs[:, None]) | (ys[None, :] > ys[:, None])
+    return (ge_x & ge_y & strict).any(axis=1)
 
 
 def is_queue_dir(path) -> bool:

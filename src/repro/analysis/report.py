@@ -34,8 +34,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..experiment.results import CurvePoint
-from ..utils.jsonio import restore_nonfinite
-from .frame import ResultFrame, load_frame
+from .frame import ResultFrame
 
 __all__ = [
     "REPORT_SCHEMA_VERSION",
@@ -65,9 +64,10 @@ X_METRICS: Sequence[Tuple[str, str]] = (
 class StandardReport:
     """Everything ``python -m repro report`` prints/exports, as data."""
 
-    #: prepared rows (baselines replicated, derived cols) — None for the
-    #: incremental store path, which never materializes the union frame;
-    #: everything render/export needs lives in the explicit fields below
+    #: prepared rows (baselines replicated, derived cols); a store's are
+    #: projected to the columns the report reads
+    #: (:func:`build_report_from_store`).  Render/export never touch it:
+    #: everything they need lives in the explicit fields below
     frame: Optional[ResultFrame] = None
     y: str = "top1"
     #: {x_metric: {strategy: [CurvePoint]}}
@@ -118,6 +118,9 @@ def build_report(
     statistics and surfaced via ``n_failed``; for queue sources callers
     pass :func:`~repro.analysis.frame.queue_outstanding` counts so a
     still-draining sweep is visibly partial in the report itself.
+    A frame that already is ``replicate_baselines().derived()`` passes
+    through both unchanged (the results server hands in the one it
+    prepared for every endpoint).
     """
     from ..meta.checklist import audit_results  # lazy: avoid import cycle
 
@@ -160,17 +163,13 @@ def build_report(
     )
 
 
-class _IncrementalFallback(Exception):
-    """The store's shape defeats the incremental plan — use the full scan."""
-
-
-#: the standard-schema columns the incremental store path folds over
-_INCR_NUMERIC = (
-    "compression", "seed", "top1", "top5", "baseline_top1", "baseline_top5",
-    "actual_compression", "theoretical_speedup", "dense_flops",
-    "effective_flops",
+#: the columns :func:`build_report` reads, besides ``y`` and its
+#: ``baseline_``/``delta_`` companions
+_REPORT_COLUMNS = (
+    "model", "dataset", "strategy", "extra", "compression", "seed", "top1",
+    "baseline_top1", "actual_compression", "theoretical_speedup",
+    "dense_flops", "effective_flops",
 )
-_INCR_OBJECT = ("model", "dataset", "strategy", "extra")
 
 
 def build_report_from_store(
@@ -179,17 +178,13 @@ def build_report_from_store(
     outstanding: Optional[Dict[str, int]] = None,
     manifest: Optional[Dict[str, Any]] = None,
 ) -> StandardReport:
-    """Incremental per-segment twin of ``build_report(store.to_frame())``.
+    """``build_report(store.to_frame())``, loading only the columns the
+    report reads.
 
-    Folds the store segment by segment — numeric columns stay memory-mapped
-    and object columns are aggregated through their dictionary codes, so
-    the 24-column union frame (and its million-element decoded object
-    arrays) is never materialized.  The output is byte-identical to the
-    full path: grouped values are gathered in original row order and
-    reduced with the same :meth:`ResultFrame._stat`, so even floating-point
-    summation order matches.  Stores whose shape defeats the plan (missing
-    standard columns, non-string strategy pools, NaN group keys, all rows
-    quarantined) silently fall back to materialize-then-report.
+    The projection keeps the load to the report's dozen-odd columns (no
+    other column file is opened or decoded); the output is byte-identical
+    to the unprojected build.  ``manifest`` pins a previously read
+    manifest (see ``ColumnStore.to_frame``).
     """
     from ..store.columnar import ColumnStore
 
@@ -197,305 +192,11 @@ def build_report_from_store(
         store = ColumnStore(store)
     if manifest is None:
         manifest = store._require_manifest()
-    try:
-        return _build_report_incremental(store, manifest, y, outstanding)
-    except _IncrementalFallback:
-        frame = store.to_frame(manifest=manifest)
-        return build_report(frame, y=y, outstanding=outstanding)
+    wanted = set(_REPORT_COLUMNS) | {y, f"baseline_{y}", f"delta_{y}"}
+    columns = [name for name in manifest["columns"] if name in wanted]
+    frame = store.to_frame(columns=columns, manifest=manifest)
+    return build_report(frame, y=y, outstanding=outstanding)
 
-
-def _build_report_incremental(
-    store, manifest, y: str, outstanding: Optional[Dict[str, int]]
-) -> StandardReport:
-    from ..experiment.prune import BASELINE_STRATEGY
-    from ..meta.checklist import audit_results  # lazy: avoid import cycle
-    from .frame import _json_safe
-
-    if y not in ("top1", "top5"):
-        raise _IncrementalFallback  # non-standard axis: let the full path cope
-    delta_name = f"delta_{y}"
-    baseline_name = f"baseline_{y}"
-    segments = manifest["segments"]
-    columns = list(manifest["columns"])
-    numeric_needed = list(_INCR_NUMERIC)
-    if delta_name in columns:
-        numeric_needed.append(delta_name)  # stored by ingest; never recompute
-    for name in numeric_needed + list(_INCR_OBJECT):
-        if name not in columns:
-            raise _IncrementalFallback
-    if not segments or not manifest["rows"]:
-        raise _IncrementalFallback
-    for entry in segments:
-        kinds = entry["columns"]
-        for name in numeric_needed:
-            if kinds.get(name) not in (None, "int64", "float64"):
-                raise _IncrementalFallback
-        for name in _INCR_OBJECT:
-            if kinds.get(name) not in (None, "object"):
-                raise _IncrementalFallback
-    targets = {
-        name: store._union_kind([e["columns"].get(name) for e in segments])
-        for name in numeric_needed
-    }
-
-    # ---- load: mmap numerics, remap object codes through merged pools ----
-    pools: Dict[str, List[Any]] = {name: [] for name in _INCR_OBJECT}
-    pool_index: Dict[str, Dict[Any, int]] = {name: {} for name in _INCR_OBJECT}
-
-    def merge_pool(name: str, raw_pool: List[Any]) -> np.ndarray:
-        # key scheme mirrors _encode_object_column, so equal values share
-        # one global code exactly as they share one per-segment code
-        index = pool_index[name]
-        values = pools[name]
-        remap = np.empty(len(raw_pool), dtype=np.int64)
-        for i, raw in enumerate(raw_pool):
-            if isinstance(raw, str):
-                key: Any = ("s", raw)
-            else:
-                key = ("j", json.dumps(raw, sort_keys=True, default=str))
-            code = index.get(key)
-            if code is None:
-                code = len(values)
-                index[key] = code
-                values.append(restore_nonfinite(raw))
-            remap[i] = code
-        return remap
-
-    needed = numeric_needed + list(_INCR_OBJECT)
-    _, keep_masks = store._dedup_keep_masks(segments)
-    num_parts: Dict[str, List[np.ndarray]] = {n: [] for n in numeric_needed}
-    code_parts: Dict[str, List[np.ndarray]] = {n: [] for n in _INCR_OBJECT}
-    for i, entry in enumerate(segments):
-        raw = store._load_segment_raw(entry, needed)
-        seg_rows = entry["rows"]
-        mask = keep_masks[i] if keep_masks is not None else None
-        for name in numeric_needed:
-            if name in raw:
-                arr = raw[name][1]
-                if targets[name] == "float64" and arr.dtype.kind in "iu":
-                    arr = arr.astype(np.float64)
-            else:
-                arr = np.full(seg_rows, np.nan, dtype=np.float64)
-            num_parts[name].append(arr if mask is None else arr[mask])
-        for name in _INCR_OBJECT:
-            if name in raw:
-                _, seg_codes, raw_pool = raw[name]
-                remap = merge_pool(name, raw_pool)
-                merged = remap[np.asarray(seg_codes, dtype=np.int64)]
-            else:
-                none_code = int(merge_pool(name, [None])[0])
-                merged = np.full(seg_rows, none_code, dtype=np.int64)
-            code_parts[name].append(merged if mask is None else merged[mask])
-    num = {
-        n: parts[0] if len(parts) == 1 else np.concatenate(parts)
-        for n, parts in num_parts.items()
-    }
-    codes = {
-        n: parts[0] if len(parts) == 1 else np.concatenate(parts)
-        for n, parts in code_parts.items()
-    }
-    n0 = len(codes["strategy"])
-    if not n0:
-        raise _IncrementalFallback  # everything superseded: nothing to fold
-
-    # pools the full path would group/sort must behave like its values do:
-    # strategy keys get sorted (np.unique), model/dataset become dict keys
-    s_pool = pools["strategy"]
-    if any(not isinstance(v, str) for v in s_pool):
-        raise _IncrementalFallback
-    for name in ("model", "dataset"):
-        if any(not (v is None or isinstance(v, str)) for v in pools[name]):
-            raise _IncrementalFallback
-    if num["seed"].dtype.kind == "f" and np.isnan(num["seed"]).any():
-        raise _IncrementalFallback  # set-vs-unique NaN semantics differ
-
-    # ---- replicate baseline sentinels across per-pair strategies --------
-    strat = codes["strategy"]
-    sent_code = pool_index["strategy"].get(("s", BASELINE_STRATEGY))
-    sent_mask = (strat == sent_code) if sent_code is not None else None
-    if sent_mask is not None and not sent_mask.any():
-        sent_mask = None
-    if sent_mask is None:
-        row_idx: Optional[np.ndarray] = None
-        prep_strat = strat
-    else:
-        n_ds = max(len(pools["dataset"]), 1)
-        n_strat = max(len(s_pool), 1)
-        pair = codes["model"] * np.int64(n_ds) + codes["dataset"]
-        non_sent = ~sent_mask
-        comb = pair[non_sent] * np.int64(n_strat) + strat[non_sent]
-        uniq, first = np.unique(comb, return_index=True)
-        order = np.argsort(first, kind="stable")
-        by_pair: Dict[int, List[int]] = {}
-        for u in uniq[order].tolist():
-            by_pair.setdefault(u // n_strat, []).append(u % n_strat)
-        sent_idx = np.flatnonzero(sent_mask)
-        target_lists = [by_pair.get(int(pair[i]), []) for i in sent_idx]
-        repeats = np.ones(n0, dtype=np.int64)
-        repeats[sent_idx] = [max(len(t), 1) for t in target_lists]
-        row_idx = np.repeat(np.arange(n0), repeats)
-        starts = np.cumsum(repeats) - repeats
-        prep_strat = strat[row_idx]
-        for i, targets_i in zip(sent_idx.tolist(), target_lists):
-            if targets_i:
-                prep_strat[starts[i] : starts[i] + len(targets_i)] = targets_i
-
-    def gather(arr: np.ndarray) -> np.ndarray:
-        return arr if row_idx is None else arr[row_idx]
-
-    prep_num = {name: gather(arr) for name, arr in num.items()}
-    prep_codes = {
-        "model": gather(codes["model"]),
-        "dataset": gather(codes["dataset"]),
-        "extra": gather(codes["extra"]),
-        "strategy": prep_strat,
-    }
-    if delta_name not in prep_num:
-        prep_num[delta_name] = np.asarray(
-            prep_num[y], dtype=np.float64
-        ) - np.asarray(prep_num[baseline_name], dtype=np.float64)
-    n_rows = len(prep_strat)
-
-    # ---- failure accounting / ok subset ---------------------------------
-    extra_pool = pools["extra"]
-    failed_pool = np.fromiter(
-        (isinstance(v, dict) and bool(v.get("failed")) for v in extra_pool),
-        dtype=bool,
-        count=len(extra_pool),
-    )
-    failed = failed_pool[prep_codes["extra"]] if len(extra_pool) else np.zeros(
-        n_rows, dtype=bool
-    )
-    n_failed = int(failed.sum())
-    if n_failed == n_rows:
-        raise _IncrementalFallback  # empty ok frame: full path is cheap enough
-    if n_failed:
-        ok_mask = ~failed
-        ok_num = {name: arr[ok_mask] for name, arr in prep_num.items()}
-        ok_codes = {name: arr[ok_mask] for name, arr in prep_codes.items()}
-    else:
-        ok_num, ok_codes = prep_num, prep_codes
-    for name in ("compression", "theoretical_speedup"):
-        arr = ok_num[name]
-        if arr.dtype.kind == "f" and np.isnan(arr).any():
-            raise _IncrementalFallback  # full path row-groups NaN keys
-
-    # ---- grouping: strategy ranks mirror np.unique's lexicographic order
-    present = np.unique(ok_codes["strategy"])
-    present_values = [s_pool[int(c)] for c in present.tolist()]
-    value_order = sorted(range(len(present)), key=lambda i: present_values[i])
-    rank_of = np.zeros(max(len(s_pool), 1), dtype=np.int64)
-    for rank, pos in enumerate(value_order):
-        rank_of[int(present[pos])] = rank
-    strat_rank = rank_of[ok_codes["strategy"]]
-
-    def grouped(secondary: np.ndarray) -> List[np.ndarray]:
-        """Per-(strategy, secondary) row-index groups, strategies in value
-        order, secondaries ascending, rows in original order — exactly the
-        nested ``group_by(sort=True)`` composition."""
-        uniq_x, inv_x = np.unique(secondary, return_inverse=True)
-        comb = strat_rank * np.int64(max(len(uniq_x), 1)) + inv_x.astype(
-            np.int64, copy=False
-        )
-        order = np.argsort(comb, kind="stable")
-        bounds = np.flatnonzero(np.diff(comb[order])) + 1
-        return np.split(order, bounds)
-
-    strat_ok = ok_codes["strategy"]
-    y_ok = np.asarray(ok_num[y], dtype=np.float64)
-    curves: Dict[str, Dict[str, List[CurvePoint]]] = {}
-    for x_metric, _ in X_METRICS:
-        x_arr = ok_num[x_metric]
-        by_strategy: Dict[str, List[CurvePoint]] = {}
-        for g in grouped(x_arr):
-            s_value = s_pool[int(strat_ok[g[0]])]
-            ys = y_ok[g]
-            by_strategy.setdefault(s_value, []).append(
-                CurvePoint(
-                    x=float(_json_safe(x_arr[g[0]])),
-                    mean=ResultFrame._stat(ys, "mean"),
-                    std=ResultFrame._stat(ys, "std"),
-                    n=len(ys),
-                )
-            )
-        curves[x_metric] = by_strategy
-
-    # ---- summary: the aggregate() record layout, group by group ---------
-    values_list = [v for v in (y, delta_name, "actual_compression",
-                               "theoretical_speedup")]
-    value_arrays = {
-        v: np.asarray(ok_num[v], dtype=np.float64) for v in values_list
-    }
-    comp_ok = ok_num["compression"]
-    records: List[Dict[str, Any]] = []
-    for g in grouped(comp_ok):
-        rec: Dict[str, Any] = {
-            "strategy": s_pool[int(strat_ok[g[0]])],
-            "compression": _json_safe(comp_ok[g[0]]),
-            "n": len(g),
-        }
-        for v in values_list:
-            col = value_arrays[v][g]
-            for stat in ("mean", "std"):
-                rec[f"{v}_{stat}"] = ResultFrame._stat(col, stat)
-        records.append(rec)
-    summary = ResultFrame.from_records(
-        records,
-        columns=["strategy", "compression", "n"]
-        + [f"{v}_{s}" for v in values_list for s in ("mean", "std")],
-    )
-    pruned = summary.filter(compression=lambda c: c > 1.0)
-    pareto = pruned.pareto_frontier(x="compression", y=f"{y}_mean")
-
-    # ---- checklist over a narrow decoded frame (values drive verdicts) --
-    strat_values = np.empty(max(len(s_pool), 1), dtype=object)
-    strat_values[: len(s_pool)] = s_pool
-    audit_frame = ResultFrame(
-        {
-            "strategy": strat_values[strat_ok],
-            "compression": comp_ok,
-            "seed": ok_num["seed"],
-            "top1": ok_num["top1"],
-            "baseline_top1": ok_num["baseline_top1"],
-            "dense_flops": ok_num["dense_flops"],
-            "effective_flops": ok_num["effective_flops"],
-            "actual_compression": ok_num["actual_compression"],
-            "theoretical_speedup": ok_num["theoretical_speedup"],
-        }
-    )
-    checklist = audit_results(audit_frame)
-
-    present_extra = np.unique(ok_codes["extra"])
-    backends = sorted(
-        {
-            extra_pool[int(c)]["kernel_backend"]
-            for c in present_extra.tolist()
-            if isinstance(extra_pool[int(c)], dict)
-            and extra_pool[int(c)].get("kernel_backend")
-        }
-    )
-
-    counts = {"pending": 0, "leased": 0}
-    counts.update(outstanding or {})
-    return StandardReport(
-        frame=None,
-        y=y,
-        curves=curves,
-        summary=summary,
-        pareto=pareto,
-        checklist=checklist,
-        n_failed=n_failed,
-        kernel_backends=backends,
-        outstanding=counts,
-        n_rows=n_rows,
-        strategies=sorted(
-            {
-                _json_safe(s_pool[int(c)])
-                for c in np.unique(prep_codes["strategy"]).tolist()
-            }
-        ),
-        seeds=sorted({_json_safe(v) for v in np.unique(prep_num["seed"])}),
-    )
 
 
 def _fmt(value: float, digits: int = 3) -> str:

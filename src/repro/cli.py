@@ -718,8 +718,8 @@ def _cmd_report(args) -> int:
     outstanding = sum(counts.values())
     try:
         if source.is_dir() and is_store_dir(source):
-            # fold the store segment by segment (byte-identical to the
-            # materialize-then-report path, without the union frame)
+            # load only the columns the report reads (byte-identical to
+            # reporting over the whole frame)
             from .analysis.report import build_report_from_store
             from .store import ColumnStore
 

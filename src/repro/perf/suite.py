@@ -31,7 +31,9 @@ Coverage map (layer → benches):
 * **analysis** — ``frame_filter`` / ``frame_group_by`` /
   ``frame_join_baseline``, each in a ``_vectorized`` and a ``_rowloop``
   variant over the same 100k-row frame, so the vectorization win is
-  re-measured (not just asserted) on every run.
+  re-measured (not just asserted) on every run; ``frame_curve`` in a
+  ``_vectorized`` and a ``_pergroup`` variant over 100k distinct x values
+  (the grouped-reduction primitive against a sub-frame per group).
 * **store** — ``store_ingest_1m`` / ``store_load_1m`` /
   ``report_from_store_1m`` plus their ``*_json_twin`` references: the
   binary column store's write, mmap-load and full-report paths against
@@ -45,9 +47,9 @@ Coverage map (layer → benches):
   the same 100k-row frame — the many-readers workload the server exists
   for.
 
-The paired ``*_rowloop`` / ``*_addat`` variants are intentionally the
-byte-equivalent reference implementations the fast paths are tested
-against (see ``tests/test_perf_bench.py`` and
+The paired ``*_rowloop`` / ``*_pergroup`` / ``*_addat`` variants are
+intentionally the byte-equivalent reference implementations the fast
+paths are tested against (see ``tests/test_perf_bench.py`` and
 ``tests/test_autograd_conv.py``); a report therefore documents the current
 speedup of every landed optimization.
 """
@@ -526,6 +528,31 @@ def _bench_frame_group_by_rowloop():
                                         single=False, sort=True)
 
 
+def _distinct_x_columns():
+    """The sweep frame's columns plus ``x``: a continuous operating point
+    per row, as ``actual_compression`` curves have."""
+    frame = make_result_frame()
+    rng = np.random.default_rng(2)
+    columns = {name: frame.column(name) for name in frame.columns}
+    columns["x"] = columns["compression"] * rng.uniform(0.9, 1.1, len(frame))
+    return columns
+
+
+@benchmark("frame_curve_vectorized",
+           f"ResultFrame.curve over {FRAME_ROWS} distinct x values on a "
+           "fresh frame (factorize, gather once, reduce slices)")
+def _bench_frame_curve():
+    columns = _distinct_x_columns()
+    return lambda: ResultFrame(columns).curve(x="x", y="top1")
+
+
+@benchmark("frame_curve_pergroup",
+           "reference curve: one sub-frame per x value (equivalence twin)")
+def _bench_frame_curve_pergroup():
+    columns = _distinct_x_columns()
+    return lambda: ResultFrame(columns)._curve_groups("x", "top1")
+
+
 @benchmark("frame_join_baseline_vectorized",
            f"batched baseline join at {FRAME_ROWS} rows")
 def _bench_frame_join_baseline():
@@ -631,13 +658,14 @@ def _bench_store_load_json_twin():
 
 
 @benchmark("report_from_store_1m",
-           f"load_frame(store) + build_report at {STORE_BENCH_ROWS} rows "
-           "(the full `repro report <store-dir>` pipeline)")
+           f"build_report_from_store at {STORE_BENCH_ROWS} rows (the "
+           "`repro report <store-dir>` pipeline: load the report's "
+           "columns, build the report)")
 def _bench_report_from_store():
-    from ..analysis import build_report, load_frame
+    from ..analysis.report import build_report_from_store
 
     tmp, _, store = _store_workdir()
-    return (lambda: build_report(load_frame(store.root))), tmp.cleanup
+    return (lambda: build_report_from_store(store)), tmp.cleanup
 
 
 @benchmark("report_from_store_1m_json_twin",
@@ -706,17 +734,6 @@ def _bench_store_query_fullscan_twin():
     tmp, store = _pushdown_workdir()
     query = compile_query(PUSHDOWN_QUERY)
     return (lambda: query.apply(store.to_frame())), tmp.cleanup
-
-
-@benchmark("report_from_store_incremental_1m",
-           f"build_report_from_store at {STORE_BENCH_ROWS} rows: fold "
-           "segments into the report without materializing the union "
-           "frame (byte-identical twin of report_from_store_1m)")
-def _bench_report_from_store_incremental():
-    from ..analysis.report import build_report_from_store
-
-    tmp, _, store = _store_workdir()
-    return (lambda: build_report_from_store(store)), tmp.cleanup
 
 
 # --------------------------------------------------------------------------

@@ -74,11 +74,7 @@ from ..analysis.frame import (
     queue_outstanding,
 )
 from ..analysis.query import Query, QueryError, compile_query
-from ..analysis.report import (
-    build_report,
-    build_report_from_store,
-    report_json_text,
-)
+from ..analysis.report import build_report, report_json_text
 
 __all__ = ["SERVE_SCHEMA_VERSION", "FrameSource", "ResultsServer"]
 
@@ -98,8 +94,10 @@ class Snapshot:
 
     Everything a handler needs is reachable from here, so a request that
     holds a snapshot is isolated from concurrent reloads.  Derived
-    artifacts (the prepared frame, per-``y`` report JSON) are computed
-    lazily once and cached — many readers, one build.
+    artifacts (the replicated frame, per-``y`` report JSON) are computed
+    lazily once and cached — many readers, one build.  Every report-shaped
+    endpoint reads the one replicated frame, so a generation replicates
+    its baselines once and factorizes each grouping column once.
     """
 
     def __init__(
@@ -120,13 +118,20 @@ class Snapshot:
         # million-row frame on every reload
         self.fingerprint = fingerprint if fingerprint else frame.fingerprint()
         # store-backed snapshots keep the handle + the manifest generation
-        # they were loaded from, so /query and /report can push filters and
-        # aggregation down to segment level instead of scanning self.frame
+        # they were loaded from, so /query can push filters down to
+        # segment level instead of scanning self.frame
         self.store = store
         self.store_manifest = store_manifest
         self._lock = threading.Lock()
+        self._replicated: Optional[ResultFrame] = None
         self._prepared: Optional[ResultFrame] = None
         self._reports: Dict[str, str] = {}
+
+    def _replicated_frame(self) -> ResultFrame:
+        # caller holds self._lock
+        if self._replicated is None:
+            self._replicated = self.frame.replicate_baselines().derived()
+        return self._replicated
 
     def prepared(self) -> ResultFrame:
         """Report-shaped rows: baselines replicated, derived columns,
@@ -134,33 +139,19 @@ class Snapshot:
         serve (the same preparation ``build_report`` applies)."""
         with self._lock:
             if self._prepared is None:
-                self._prepared = (
-                    self.frame.replicate_baselines().derived().ok()
-                )
+                self._prepared = self._replicated_frame().ok()
             return self._prepared
 
     def report_text(self, y: str) -> str:
-        """The §6 report JSON for this generation (built once per ``y``);
-        byte-identical to ``python -m repro report --json -``."""
+        """The §6 report JSON for this generation (built once per ``y``
+        from the snapshot's own rows); byte-identical to ``python -m repro
+        report --json -``."""
         with self._lock:
             if y not in self._reports:
-                report = None
-                if self.store is not None:
-                    try:
-                        # fold segment by segment (byte-identical output);
-                        # a store torn by a racing compact (segments this
-                        # manifest references already deleted) falls back
-                        # to the already-materialized snapshot frame
-                        report = build_report_from_store(
-                            self.store, y=y, outstanding=self.outstanding,
-                            manifest=self.store_manifest,
-                        )
-                    except (OSError, RuntimeError):
-                        report = None
-                if report is None:
-                    report = build_report(
-                        self.frame, y=y, outstanding=self.outstanding
-                    )
+                report = build_report(
+                    self._replicated_frame(), y=y,
+                    outstanding=self.outstanding,
+                )
                 self._reports[y] = report_json_text(report)
             return self._reports[y]
 
@@ -832,6 +823,9 @@ class _Handler(BaseHTTPRequestHandler):
     #: injected by :meth:`ResultsServer._bind` via subclassing
     server_app: ResultsServer = None  # type: ignore[assignment]
     protocol_version = "HTTP/1.1"  # keep-alive: many reads per connection
+    #: TCP_NODELAY on each accepted socket: a response's body must not
+    #: wait for the client's delayed ACK of its header segment
+    disable_nagle_algorithm = True
 
     # -- entry points ----------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 (http.server naming)
@@ -855,7 +849,6 @@ class _Handler(BaseHTTPRequestHandler):
         started = time.perf_counter()
         split = urlsplit(self.path)
         route = split.path.rstrip("/") or "/"
-        status = 500
         try:
             params = dict(parse_qsl(split.query, keep_blank_values=True))
             body = self._read_body()
@@ -870,20 +863,10 @@ class _Handler(BaseHTTPRequestHandler):
                 500, _json_text({"error": f"internal error: {exc}",
                                  "status": 500}),
             )
-        try:
-            status = self._send(method, response)
-        finally:
-            app.metrics.record(route, status,
-                               time.perf_counter() - started)
-
-    def _send(self, method: str, response: _Response) -> int:
-        status = response.status
-        payload = response.text.encode("utf-8")
-        if response.etag is not None and status == 200:
-            if_none_match = self.headers.get("If-None-Match", "")
-            tags = [t.strip() for t in if_none_match.split(",")]
-            if response.etag in tags or "*" in tags:
-                status, payload = 304, b""
+        status, payload = self._conditional(response)
+        # counted before a byte leaves, so a client that has read the
+        # response finds it in /healthz
+        app.metrics.record(route, status, time.perf_counter() - started)
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         if response.etag is not None:
@@ -893,7 +876,16 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         if method != "HEAD" and status != 304:
             self.wfile.write(payload)
-        return status
+
+    def _conditional(self, response: _Response) -> Tuple[int, bytes]:
+        """The status and body to send: 304 without a body when the
+        client's ``If-None-Match`` holds the response's ETag."""
+        if response.etag is not None and response.status == 200:
+            if_none_match = self.headers.get("If-None-Match", "")
+            tags = [t.strip() for t in if_none_match.split(",")]
+            if response.etag in tags or "*" in tags:
+                return 304, b""
+        return response.status, response.text.encode("utf-8")
 
     def log_message(self, format: str, *args) -> None:
         log = self.server_app.log if self.server_app else None

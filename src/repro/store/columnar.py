@@ -676,33 +676,6 @@ class ColumnStore:
                 )
         return out
 
-    def _load_segment_raw(
-        self, entry: Dict[str, Any], subset: Sequence[str]
-    ) -> Dict[str, Tuple[str, Any, Any]]:
-        """Undecoded segment columns for the incremental aggregation path:
-        ``{"name": ("numeric", array, None) | ("object", codes, pool)}``."""
-        seg_dir = self.segments_dir / entry["name"]
-        out: Dict[str, Tuple[str, Any, Any]] = {}
-        for name, kind in entry["columns"].items():
-            if name not in subset:
-                continue
-            if kind in _NUMERIC_KINDS:
-                out[name] = (
-                    "numeric",
-                    np.load(seg_dir / f"{name}.npy", mmap_mode="r"),
-                    None,
-                )
-            elif kind == "object":
-                codes = np.load(seg_dir / f"{name}.codes.npy")
-                pool = json.loads((seg_dir / f"{name}.values.json").read_text())
-                out[name] = ("object", codes, pool)
-            else:
-                raise StoreError(
-                    f"segment {entry['name']} column {name!r} has unknown "
-                    f"kind {kind!r}"
-                )
-        return out
-
     def _segment_keys(self, entry: Dict[str, Any]) -> np.ndarray:
         return np.load(self.segments_dir / entry["name"] / "keys.npy")
 

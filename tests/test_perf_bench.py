@@ -48,6 +48,7 @@ class TestHarness:
             "frame_filter_vectorized", "frame_filter_rowloop",
             "frame_group_by_vectorized", "frame_group_by_rowloop",
             "frame_join_baseline_vectorized", "frame_join_baseline_rowloop",
+            "frame_curve_vectorized", "frame_curve_pergroup",
         ):
             assert expected in names
 
@@ -67,7 +68,6 @@ class TestHarness:
             "store_ingest_1m", "store_load_1m", "store_load_1m_json_twin",
             "store_query_pushdown_1m", "store_query_fullscan_twin_1m",
             "report_from_store_1m", "report_from_store_1m_json_twin",
-            "report_from_store_incremental_1m",
         }
         assert {b.name for b in
                 select_benchmarks("store_.*|report_from_store_1m")} == names

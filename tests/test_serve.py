@@ -351,6 +351,63 @@ class TestEndpoints:
         assert int(response.getheader("Content-Length")) > 0
 
 
+class TestTransport:
+    def test_accepted_sockets_set_nodelay(self, monkeypatch):
+        """TCP_NODELAY on every accepted socket: with Nagle on, a body
+        written after its headers waits for the client's delayed ACK."""
+        import socket
+
+        from repro.serve import server as server_mod
+
+        nodelay = []
+        original_setup = server_mod._Handler.setup
+
+        def setup(handler):
+            original_setup(handler)
+            nodelay.append(handler.connection.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY))
+
+        monkeypatch.setattr(server_mod._Handler, "setup", setup)
+        frame = ResultFrame.from_results(make_rows())
+        srv = ResultsServer([FrameSource.from_frame("sweep", frame)])
+        srv.start()
+        try:
+            for path in ("/healthz", "/report"):
+                response, _ = _request(srv, "GET", path)
+                assert response.status == 200
+        finally:
+            srv.stop()
+        assert len(nodelay) == 2 and all(nodelay), nodelay
+
+    def test_response_is_counted_before_it_is_sent(self, monkeypatch):
+        """A client that has read a response finds it in /healthz."""
+        from urllib.parse import urlsplit
+
+        from repro.serve import server as server_mod
+
+        counted = []
+        original_end_headers = server_mod._Handler.end_headers
+
+        def end_headers(handler):
+            metrics = handler.server_app.metrics.to_dict()
+            route = urlsplit(handler.path).path
+            counted.append(metrics.get(route, {}).get("requests", 0))
+            original_end_headers(handler)
+
+        monkeypatch.setattr(server_mod._Handler, "end_headers", end_headers)
+        frame = ResultFrame.from_results(make_rows())
+        srv = ResultsServer([FrameSource.from_frame("sweep", frame)])
+        srv.start()
+        try:
+            for path, status in (("/healthz", 200), ("/healthz", 200),
+                                 ("/nope", 404)):
+                response, _ = _request(srv, "GET", path)
+                assert response.status == status
+        finally:
+            srv.stop()
+        assert counted == [1, 2, 1]
+
+
 # ---------------------------------------------------------------------------
 # parity with the report CLI over real artifacts
 # ---------------------------------------------------------------------------

@@ -768,6 +768,9 @@ class TestApplyStore:
 
 
 class TestIncrementalReport:
+    """``build_report_from_store`` (a projected load) is byte-identical to
+    ``build_report(store.to_frame())``."""
+
     def make_store(self, tmp_path, with_sentinels: bool = True):
         from repro.experiment.prune import BASELINE_STRATEGY
 
@@ -784,17 +787,15 @@ class TestIncrementalReport:
 
     def assert_reports_byte_equal(self, store, y="top1", outstanding=None):
         from repro.analysis.report import (
-            _build_report_incremental,
             build_report,
+            build_report_from_store,
             report_json_text,
         )
 
-        # call the incremental builder directly so a silent fallback can
-        # never make this test vacuous
-        incremental = _build_report_incremental(
-            store, store._require_manifest(), y, outstanding)
+        projected = build_report_from_store(
+            store, y=y, outstanding=outstanding)
         full = build_report(store.to_frame(), y=y, outstanding=outstanding)
-        assert report_json_text(incremental) == report_json_text(full)
+        assert report_json_text(projected) == report_json_text(full)
 
     def test_byte_equal_with_baseline_sentinels(self, tmp_path):
         self.assert_reports_byte_equal(self.make_store(tmp_path))
@@ -809,45 +810,14 @@ class TestIncrementalReport:
         self.assert_reports_byte_equal(
             store, outstanding={"pending": 2, "leased": 1})
 
-    def test_fallback_is_byte_equal_too(self, tmp_path, monkeypatch):
-        import repro.analysis.report as report_mod
-        from repro.analysis.report import (
-            build_report,
-            build_report_from_store,
-            report_json_text,
-        )
-
-        store = self.make_store(tmp_path)
-        # when the incremental plan bails, the public entry point must
-        # fall back to materialize-then-report transparently
-        monkeypatch.setattr(
-            report_mod, "_build_report_incremental",
-            lambda *a, **k: (_ for _ in ()).throw(
-                report_mod._IncrementalFallback()))
-        assert report_json_text(build_report_from_store(store)) == \
-            report_json_text(build_report(store.to_frame()))
-
-    def test_report_cli_routes_store_through_incremental(
-            self, tmp_path, capsys, monkeypatch):
+    def test_report_cli_store_matches_cache(self, tmp_path, capsys):
         from repro.cli import main
 
         store = self.make_store(tmp_path)
         assert main(["report", str(tmp_path / "cache"), "--json", "-"]) == 0
         from_cache = capsys.readouterr().out
-        called = []
-        import repro.analysis.report as report_mod
-
-        original = report_mod._build_report_incremental
-
-        def spy(*args, **kwargs):
-            called.append(True)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(report_mod, "_build_report_incremental", spy)
         assert main(["report", str(store.root), "--json", "-"]) == 0
-        from_store = capsys.readouterr().out
-        assert called, "store report did not take the incremental path"
-        assert from_store == from_cache
+        assert capsys.readouterr().out == from_cache
 
 
 class TestStoreCLIProgress:
@@ -916,6 +886,40 @@ class TestServePushdown:
         expected = report_json_text(build_report(
             store.to_frame(), outstanding=snapshot.outstanding))
         assert snapshot.report_text("top1") == expected
+
+    def test_report_reuses_the_snapshot_frame(self, tmp_path, monkeypatch):
+        """A generation replicates its baselines once for /report and the
+        other endpoints, and /report never loads the store again."""
+        from repro.analysis.report import build_report, report_json_text
+        from repro.serve import FrameSource
+
+        store = TestIncrementalReport().make_store(tmp_path)
+        snapshot = FrameSource("s", path=store.root).load()
+        calls = {"replicate": 0, "segment_reads": 0}
+
+        def count(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        # the two ways replicate_baselines copies rows: each call is work
+        for method in ("_replicate_baselines_gathered",
+                       "_replicate_baselines_records"):
+            monkeypatch.setattr(ResultFrame, method, count(
+                "replicate", getattr(ResultFrame, method)))
+        # every segment column file is read through np.load
+        monkeypatch.setattr(np, "load", count("segment_reads", np.load))
+        prepared = snapshot.prepared()
+        top1 = snapshot.report_text("top1")
+        top5 = snapshot.report_text("top5")
+        assert snapshot.prepared() is prepared
+        assert calls == {"replicate": 1, "segment_reads": 0}
+        monkeypatch.undo()
+        frame = store.to_frame()
+        for y, text in (("top1", top1), ("top5", top5)):
+            assert text == report_json_text(build_report(
+                frame, y=y, outstanding=snapshot.outstanding))
 
     def test_query_falls_back_when_store_torn(self, tmp_path, monkeypatch):
         import repro.analysis.query as query_mod
