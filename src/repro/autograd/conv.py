@@ -6,28 +6,25 @@ ops on :class:`repro.autograd.tensor.Tensor`.
 
 The heavy array math for the dense conv, the fused conv+bias+ReLU, and max
 pooling is *not* implemented here: those ops dispatch through the active
-kernel backend (:func:`repro.kernels.active_backend`), so the reference and
-optimized implementations stay interchangeable and equivalence-tested.  The
-backend's forward returns an opaque context that the backward closure hands
-back — the tape never sees backend internals.
+kernel backend (:func:`repro.kernels.active_backend`), one seam where every
+kernel call can be timed or swapped.  The backend's forward returns an
+opaque context that the backward closure hands back — the tape never sees
+backend internals.
 
-The historical private helpers (``_im2col``, ``_col2im``, the max-pool
-scatter variants) now live in :mod:`repro.kernels.reference` and are
-re-exported here under their old names for backward compatibility.
+The max-pool scatter variants live in :mod:`repro.kernels.reference` and
+are re-exported here under their historical private names.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ..kernels import active_backend
 from ..kernels.reference import (
-    col2im as _col2im,
     conv_output_shape,
-    im2col as _im2col,
     max_pool2d_backward_add_at as _max_pool2d_backward_add_at,
     max_pool2d_backward_scatter as _max_pool2d_backward_scatter,
 )

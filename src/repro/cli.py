@@ -450,8 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="skip RSS/allocation tracking")
     bench.add_argument("--kernel-backend", default=None, metavar="NAME",
                        help="run backend-dispatching benches under this "
-                            "kernel backend (per-backend twin benches pin "
-                            "their own backend regardless)")
+                            "kernel backend (the kernel_*_reference and "
+                            "nn_train_step_reference benches pin their own)")
 
     expand = _add_command(
         sub, "expand",

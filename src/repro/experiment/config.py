@@ -41,7 +41,7 @@ to a file, diffed, shipped to a remote worker, and replayed bit-for-bit::
                                        // queue executor's {"queue_dir": ...,
                                        // "lease_timeout": 30, "max_retries": 2}.
                                        // Every executor accepts
-                                       // {"kernel_backend": "fast"} (a KERNELS
+                                       // {"kernel_backend": "reference"} (a KERNELS
                                        // registry name) to pin the compute
                                        // backend for all cells — including
                                        // queue workers, which inherit it via

@@ -188,9 +188,9 @@ class PruningExperiment:
             pretrained_key=self.pretrained_key,
             dense_flops=dense_flops(model, input_shape),
         )
-        # Provenance: which compute backend produced this row.  Reference and
-        # fast are byte-equal, but f32 rows are not comparable bit-for-bit
-        # with f64 rows, so reports surface mixed-backend tables.
+        # Provenance: which compute backend produced this row.  Rows from
+        # different backends need not be comparable bit-for-bit, so reports
+        # surface mixed-backend tables.
         result.extra["kernel_backend"] = active_backend_name()
 
         if spec.compression > 1.0:

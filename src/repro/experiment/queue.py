@@ -76,7 +76,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..kernels import use_backend
+from ..kernels import resolve_backend, use_backend
 from ..utils import atomic_write_text
 from .cache import ResultCache, spec_hash
 from .executor import (
@@ -102,6 +102,21 @@ DEFAULT_LEASE_TIMEOUT = 60.0
 DEFAULT_MAX_RETRIES = 2
 
 
+def _check_backend(name: Optional[str], source: str) -> None:
+    """Resolve a kernel backend name before any cell is claimed.
+
+    An unknown name would otherwise fail every cell inside ``run_once``,
+    each after its full retry budget.  The ``KeyError`` names ``source``
+    (the setting the name came from) and the name.
+    """
+    if name is None:
+        return
+    try:
+        resolve_backend(name)
+    except KeyError as exc:
+        raise KeyError(f"{source}: {exc.args[0]}") from None
+
+
 @dataclass
 class QueueClaim:
     """One claimed cell: everything a worker needs to run and report it."""
@@ -121,7 +136,11 @@ class WorkQueue:
     ``lease_timeout``/``max_retries`` are persisted to ``queue.json`` when
     the queue directory is first created, so workers constructed with the
     bare directory path (``WorkQueue(path)``) adopt the submitter's
-    settings; explicit arguments always win locally.
+    settings; explicit arguments always win locally.  An explicit
+    ``kernel_backend`` must resolve here, so an unknown name never reaches
+    ``queue.json``; a stored one is resolved by :class:`QueueWorker`, so
+    stats, compaction and reports still open a queue planned under a
+    backend this build no longer has.
     """
 
     def __init__(
@@ -136,6 +155,7 @@ class WorkQueue:
         self.leased_dir = self.root / "leased"
         self.done_dir = self.root / "done"
         self.failed_dir = self.root / "failed"
+        _check_backend(kernel_backend, f'{self.root / "queue.json"} "kernel_backend"')
         stored = self._load_settings()
         self.lease_timeout = float(
             lease_timeout if lease_timeout is not None
@@ -624,9 +644,13 @@ class QueueWorker:
         self.heartbeat_interval = heartbeat_interval  # None disables beats
         self.progress = progress
         # default to the submitter's backend persisted in queue.json
-        self.kernel_backend = (
-            kernel_backend if kernel_backend is not None else queue.kernel_backend
-        )
+        if kernel_backend is None:
+            kernel_backend = queue.kernel_backend
+            source = f'{queue.root / "queue.json"} "kernel_backend"'
+        else:
+            source = "worker kernel_backend"
+        _check_backend(kernel_backend, source)
+        self.kernel_backend = kernel_backend
         # optional binary ColumnStore (or path) mirroring every published
         # row; the JSON cache stays the interchange format and is still
         # written first — the store is a serving-side copy

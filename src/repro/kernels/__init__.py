@@ -5,16 +5,16 @@ claims are only meaningful inside a shared, controlled harness.  This
 package applies that logic to our own hot-path optimizations: all heavy
 array math (im2col convolution, pooling, the 2-D affine map, the
 elementwise train-step ops) is routed through *one* seam — the active
-kernel backend — so reference and optimized implementations are
-interchangeable and equivalence-tested, and a Numba/C backend can drop in
-later without touching autograd.
+kernel backend — so every dispatch can be timed in one place and a
+Numba/C backend can drop in later without touching autograd.
 
-Registered backends (``python -m repro ls kernels``):
-
-* ``reference`` — the original NumPy code, verbatim; the default.
-* ``fast`` — buffer-pooled scratch + ``out=`` GEMMs; byte-equal results.
-* ``reference-f32`` / ``fast-f32`` — the same pair in float32-throughout
-  compute mode (documented-tolerance vs the float64 backends).
+One backend is registered (``python -m repro ls kernels``): ``reference``,
+the NumPy code in :mod:`repro.kernels.reference`.  Its conv gather and
+scatter stream through NHWC but stay byte-equal to the original NCHW code
+(see that module for the rule that keeps them so, and its one exception).
+Rows written by older runs may carry other backend names in
+``extra["kernel_backend"]``; they stay readable, but those names no
+longer resolve.
 
 Selection (first hit wins):
 
@@ -37,19 +37,14 @@ import os
 import threading
 from typing import Dict, Optional, Union
 
-import numpy as np
-
 from ..registry import Registry
-from .base import BufferPool, KernelBackend
-from .fast import FastKernels
+from .base import KernelBackend
 from .reference import ReferenceKernels
 
 __all__ = [
     "KERNELS",
     "KernelBackend",
-    "BufferPool",
     "ReferenceKernels",
-    "FastKernels",
     "DEFAULT_BACKEND",
     "ENV_VAR",
     "resolve_backend",
@@ -72,23 +67,8 @@ def _reference() -> ReferenceKernels:
     return ReferenceKernels("reference")
 
 
-@KERNELS.register("reference-f32")
-def _reference_f32() -> ReferenceKernels:
-    return ReferenceKernels("reference-f32", compute_dtype=np.float32)
-
-
-@KERNELS.register("fast")
-def _fast() -> FastKernels:
-    return FastKernels("fast")
-
-
-@KERNELS.register("fast-f32")
-def _fast_f32() -> FastKernels:
-    return FastKernels("fast-f32", compute_dtype=np.float32)
-
-
-#: per-process singleton instances (the fast backends own a buffer pool, so
-#: every dispatch site must see the same instance)
+#: per-process singleton instances, so that every dispatch site sees the
+#: same object (and a wrapper installed on its methods sees every call)
 _INSTANCES: Dict[str, KernelBackend] = {}
 
 #: process-wide default set by :func:`set_backend` (beats the env var)
@@ -130,7 +110,7 @@ def set_backend(name: Optional[str]) -> None:
 
 
 class use_backend:
-    """Thread-local backend override: ``with use_backend("fast"): ...``.
+    """Thread-local backend override: ``with use_backend("reference"): ...``.
 
     ``use_backend(None)`` is a no-op passthrough, which lets call sites
     forward an optional setting without branching.  Enter returns the

@@ -1,5 +1,5 @@
-"""Shared infrastructure for kernel backends: buffer pool and saved-forward
-contexts.
+"""Shared infrastructure for kernel backends: saved-forward contexts and
+the backend base class.
 
 A *kernel backend* is an object exposing the hot compute primitives the
 autograd layer dispatches through (see :mod:`repro.kernels`).  Every
@@ -10,90 +10,16 @@ a Numba/C backend drop in later without touching autograd.
 Forward kernels that have a matching backward return an opaque *context*
 object carrying whatever the backward needs (the im2col matrix, the reshaped
 weight, the ReLU mask).  The autograd op closes over the context; when the
-tape node is garbage-collected the context goes with it, which is also how
-pooled buffers find their way back to the :class:`BufferPool` (see
-:class:`PooledConvCtx`).
+tape node is garbage-collected the context goes with it.
 """
 
 from __future__ import annotations
 
-import threading
-from typing import Optional, Tuple
-
-import numpy as np
-
 __all__ = [
-    "BufferPool",
     "ConvCtx",
-    "PooledConvCtx",
     "LinearCtx",
     "KernelBackend",
 ]
-
-
-class BufferPool:
-    """A free-list of reusable scratch arrays keyed by (shape, dtype).
-
-    The conv kernels allocate multi-megabyte im2col/col2im scratch on every
-    call; across the thousands of train steps of a sweep cell those
-    allocations are pure malloc/page-fault churn, since the shapes repeat
-    from step to step.  ``acquire`` pops a recycled buffer (or allocates on
-    miss) and ``release`` returns one for reuse.
-
-    Contents of acquired buffers are *undefined* — callers must fully
-    overwrite them.  The pool is thread-safe (a lock guards the free lists;
-    ownership between ``acquire`` and ``release`` is exclusive to the
-    caller).  ``max_per_key``/``max_bytes`` bound retained memory; releases
-    beyond either bound simply drop the buffer to the garbage collector.
-    """
-
-    def __init__(self, max_per_key: int = 8, max_bytes: int = 1 << 28) -> None:
-        self.max_per_key = max_per_key
-        self.max_bytes = max_bytes
-        self._free: dict = {}
-        self._bytes = 0
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    def acquire(self, shape: Tuple[int, ...], dtype) -> np.ndarray:
-        key = (tuple(shape), np.dtype(dtype).str)
-        with self._lock:
-            lst = self._free.get(key)
-            if lst:
-                self.hits += 1
-                arr = lst.pop()
-                self._bytes -= arr.nbytes
-                return arr
-            self.misses += 1
-        return np.empty(shape, dtype)
-
-    def release(self, arr: Optional[np.ndarray]) -> None:
-        if arr is None:
-            return
-        key = (arr.shape, arr.dtype.str)
-        with self._lock:
-            lst = self._free.setdefault(key, [])
-            if (
-                len(lst) < self.max_per_key
-                and self._bytes + arr.nbytes <= self.max_bytes
-            ):
-                lst.append(arr)
-                self._bytes += arr.nbytes
-
-    def clear(self) -> None:
-        with self._lock:
-            self._free.clear()
-            self._bytes = 0
-
-    def stats(self) -> dict:
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "retained_bytes": self._bytes,
-                "keys": len(self._free),
-            }
 
 
 class ConvCtx:
@@ -116,33 +42,6 @@ class ConvCtx:
             setattr(self, k, v)
 
 
-class PooledConvCtx(ConvCtx):
-    """A :class:`ConvCtx` whose ``cols`` buffer came from a :class:`BufferPool`.
-
-    The buffer returns to the pool when the context is garbage-collected —
-    i.e. when the autograd tape node holding the backward closure dies.
-    Tying the release to object lifetime (rather than to the backward call)
-    keeps repeated ``backward()`` on a retained tape safe: the buffer cannot
-    be recycled while anything can still read it.
-    """
-
-    __slots__ = ("pool",)
-
-    def __init__(self, pool: Optional[BufferPool] = None, **kw) -> None:
-        super().__init__(**kw)
-        self.pool = pool
-
-    def __del__(self) -> None:
-        try:
-            pool = getattr(self, "pool", None)
-            cols = getattr(self, "cols", None)
-            if pool is not None and cols is not None:
-                self.cols = None
-                pool.release(cols)
-        except Exception:  # pragma: no cover - interpreter shutdown
-            pass
-
-
 class LinearCtx:
     """Saved-forward state for ``linear_backward``."""
 
@@ -155,7 +54,7 @@ class LinearCtx:
 
 
 class KernelBackend:
-    """Base class for kernel backends: names the protocol, owns the dtype mode.
+    """Base class for kernel backends: names the protocol.
 
     Subclasses implement the primitives (see :class:`ReferenceKernels` for
     the canonical signatures):
@@ -169,26 +68,10 @@ class KernelBackend:
     * ``linear_forward(x, w, b, want_ctx)`` / ``linear_backward(g, ctx)``
     * elementwise train-step ops: ``relu_forward(x)``, ``relu_backward(g, x)``
       and the in-place ``sgd_update(param, grad, velocity, ...)``
-
-    ``compute_dtype`` is the float32-throughout mode: when set, forward and
-    backward kernels cast their float inputs to it (via :meth:`cast`) so the
-    GEMMs run in single precision.  Optimizer state is deliberately *not*
-    cast — ``sgd_update`` works in the parameter's own dtype, and autograd's
-    gradient accumulation casts grads back to the parameter dtype.
     """
 
-    def __init__(self, name: str, compute_dtype=None) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.compute_dtype = None if compute_dtype is None else np.dtype(compute_dtype)
-
-    def cast(self, a: Optional[np.ndarray]) -> Optional[np.ndarray]:
-        """Cast a float array to the backend's compute dtype (no-op by default)."""
-        if a is None or self.compute_dtype is None:
-            return a
-        if a.dtype == self.compute_dtype or a.dtype.kind not in "f":
-            return a
-        return a.astype(self.compute_dtype)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        dt = self.compute_dtype.name if self.compute_dtype is not None else "preserve"
-        return f"{type(self).__name__}({self.name!r}, compute_dtype={dt})"
+        return f"{type(self).__name__}({self.name!r})"

@@ -1,23 +1,22 @@
-"""The reference kernel backend: the original NumPy hot-path code, verbatim.
+"""The kernel backend: the engine's NumPy hot-path code.
 
 The module-level functions here (:func:`im2col`, :func:`col2im`, the two
-max-pool scatter variants, :func:`conv_output_shape`) are the exact
-implementations that previously lived in :mod:`repro.autograd.conv`; that
-module now re-exports them for backward compatibility.
-:class:`ReferenceKernels` wraps them in the backend protocol so every other
-backend can be equivalence-tested against it.
+max-pool scatter variants, :func:`conv_output_shape`) are plain-ndarray
+building blocks; :class:`ReferenceKernels` wraps them in the backend
+protocol and is registered as ``reference``, the one backend.
 
-Registered names:
-
-* ``reference`` — dtype-preserving, the process default.
-* ``reference-f32`` — same math with all float inputs cast to float32
-  (the float32-throughout mode's own reference, so the ``fast-f32`` backend
-  has a byte-equivalence twin).
+Byte-equality rule for the conv path: the GEMM call shapes and operand
+layouts are fixed (``cols`` is always a C-contiguous ``(N*OH*OW,
+C*kh*kw)`` matrix), and only the schedule that fills ``cols`` and empties
+``dcols`` may change.  Each output element then sums the same products
+in the same order, so a new schedule changes no result byte.  A gather
+that hands BLAS a transposed operand breaks the rule: BLAS takes another
+path and rounds differently.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -32,6 +31,11 @@ __all__ = [
     "max_pool2d_backward_scatter",
     "max_pool2d_backward_add_at",
 ]
+
+#: bytes of ``cols`` (or ``dcols``) one batch tile covers.  The gather and
+#: the scatter pass over a tile once per kernel offset, so a tile is sized
+#: to stay in the L2 cache between passes.
+TILE_BYTES = 1 << 19
 
 
 def conv_output_shape(
@@ -48,26 +52,43 @@ def conv_output_shape(
     return h, w
 
 
+def _batch_tiles(n: int, image_bytes: int) -> List[slice]:
+    """Slices of the batch axis that each cover about ``TILE_BYTES``."""
+    step = max(1, TILE_BYTES // max(1, image_bytes))
+    return [slice(n0, n0 + step) for n0 in range(0, n, step)]
+
+
+def _slab(a: np.ndarray, i: int, j: int, stride: int, oh: int, ow: int):
+    """The ``(N, OH, OW, C)`` view of NHWC ``a`` under kernel offset (i, j)."""
+    return a[:, i : i + stride * oh : stride, j : j + stride * ow : stride]
+
+
 def im2col(
     x: np.ndarray, kh: int, kw: int, stride: int, padding: int
 ) -> Tuple[np.ndarray, Tuple[int, int]]:
     """Extract sliding patches as a GEMM-ready matrix.
 
-    Returns ``cols`` of shape ``(N*OH*OW, C*kh*kw)`` (C-contiguous) so that
-    both the forward pass and the two backward passes are single large BLAS
-    GEMMs rather than batched small ones.
+    Returns ``cols`` of shape ``(N*OH*OW, C*kh*kw)``, always C-contiguous,
+    so that the forward pass and the two backward passes are single large
+    BLAS GEMMs rather than batched small ones.  The input is staged once in
+    NHWC (a view when ``padding == 0``); then, per batch tile, each kernel
+    offset (i, j) fills its column of the ``(N, OH, OW, C, kh, kw)`` cols
+    with one strided slab copy.
     """
-    if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     n, c, h, w = x.shape
-    oh, ow = (h - kh) // stride + 1, (w - kw) // stride + 1
-    # windows: strided view (N, C, OH, OW, kh, kw)
-    windows = sliding_window_view(x, (kh, kw), axis=(2, 3))[
-        :, :, ::stride, ::stride, :, :
-    ]
-    # -> (N, OH, OW, C, kh, kw) -> (N*OH*OW, C*kh*kw); one materializing copy.
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * kh * kw)
-    return cols, (oh, ow)
+    oh, ow = conv_output_shape((h, w), (kh, kw), stride, padding)
+    xt = x.transpose(0, 2, 3, 1)
+    if padding:
+        xp = np.zeros((n, h + 2 * padding, w + 2 * padding, c), dtype=x.dtype)
+        xp[:, padding : padding + h, padding : padding + w] = xt
+        xt = xp
+    cols = np.empty((n, oh, ow, c, kh, kw), dtype=x.dtype)
+    for tile in _batch_tiles(n, cols[:1].nbytes):
+        src, dst = xt[tile], cols[tile]
+        for i in range(kh):
+            for j in range(kw):
+                dst[..., i, j] = _slab(src, i, j, stride, oh, ow)
+    return cols.reshape(n * oh * ow, c * kh * kw), (oh, ow)
 
 
 def col2im(
@@ -80,26 +101,27 @@ def col2im(
 ) -> np.ndarray:
     """Adjoint of :func:`im2col`: scatter patch grads back to the image.
 
-    ``dcols`` has shape ``(N*OH*OW, C*kh*kw)``.  The scatter uses a kh×kw
-    loop of fully-vectorised strided adds (the standard fast col2im).
+    ``dcols`` has shape ``(N*OH*OW, C*kh*kw)``.  Per batch tile, each
+    kernel offset (i, j) scatter-adds its slab into a zeroed, padded NHWC
+    buffer in (i, j) order, so every element sums the same addends in the
+    same order whatever the layout; the tile's unpadded interior is then
+    copied out.  Returns a C-contiguous NCHW array.
     """
     n, c, h, w = x_shape
     oh, ow = conv_output_shape((h, w), (kh, kw), stride, padding)
-    hp, wp = h + 2 * padding, w + 2 * padding
-    dx = np.zeros((n, c, hp, wp), dtype=dcols.dtype)
-    # One sequential materializing copy into (kh, kw, N, C, OH, OW) so each
-    # scatter-add below reads a contiguous source block.
-    d6 = np.ascontiguousarray(
-        dcols.reshape(n, oh, ow, c, kh, kw).transpose(4, 5, 0, 3, 1, 2)
-    )
-    for i in range(kh):
-        hi = i + stride * oh
-        for j in range(kw):
-            wj = j + stride * ow
-            dx[:, :, i:hi:stride, j:wj:stride] += d6[i, j]
-    if padding:
-        dx = dx[:, :, padding:-padding, padding:-padding]
-    return dx
+    d6 = dcols.reshape(n, oh, ow, c, kh, kw)
+    dx = np.zeros((n, h + 2 * padding, w + 2 * padding, c), dtype=dcols.dtype)
+    gx = np.empty(x_shape, dtype=dcols.dtype)
+    for tile in _batch_tiles(n, d6[:1].nbytes):
+        src, acc = d6[tile], dx[tile]
+        for i in range(kh):
+            for j in range(kw):
+                slab = _slab(acc, i, j, stride, oh, ow)
+                slab += src[..., i, j]
+        gx[tile] = acc[:, padding : padding + h, padding : padding + w].transpose(
+            0, 3, 1, 2
+        )
+    return gx
 
 
 def max_pool2d_backward_scatter(
@@ -153,24 +175,20 @@ def max_pool2d_backward_add_at(
 
 
 class ReferenceKernels(KernelBackend):
-    """Dtype-preserving backend built on the verbatim reference functions.
+    """Dtype-preserving backend built on the module's functions.
 
     Every primitive produces results bit-identical to the pre-kernels
-    autograd code paths (modulo the optional ``compute_dtype`` cast), which
-    makes this the equivalence oracle for all other backends.
+    autograd code paths, with one exception: for a batch-1 1x1 stride-1
+    conv the NCHW gather's ``reshape`` handed BLAS a Fortran-ordered view,
+    and ``im2col`` hands it a C-ordered copy like every other geometry.
+    ``tests/test_kernel_properties.py`` pins the conv gather and scatter
+    against the NCHW originals.
     """
 
     # -- GEMM -----------------------------------------------------------
     def gemm(self, a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None):
         """Single large BLAS matmul (batched via numpy's stacked matmul)."""
-        return np.matmul(self.cast(a), self.cast(b), out=out)
-
-    # -- im2col plumbing (overridable by pooled backends) ---------------
-    def im2col(self, x, kh, kw, stride, padding):
-        return im2col(x, kh, kw, stride, padding)
-
-    def col2im(self, dcols, x_shape, kh, kw, stride, padding):
-        return col2im(dcols, x_shape, kh, kw, stride, padding)
+        return np.matmul(a, b, out=out)
 
     # -- dense conv2d ---------------------------------------------------
     def conv2d_forward(
@@ -184,11 +202,10 @@ class ReferenceKernels(KernelBackend):
     ) -> Tuple[np.ndarray, Optional[ConvCtx]]:
         """im2col + one GEMM.  Returns ``(out, ctx)``; ctx is None when the
         caller will not run a backward pass."""
-        x, w, b = self.cast(x), self.cast(w), self.cast(b)
         n = x.shape[0]
         c_out = w.shape[0]
         kh, kw_ = w.shape[2], w.shape[3]
-        cols, (oh, ow) = self.im2col(x, kh, kw_, stride, padding)  # (N*P, K)
+        cols, (oh, ow) = im2col(x, kh, kw_, stride, padding)  # (N*P, K)
         w_mat = w.reshape(c_out, -1)  # (F, K)
         out2d = cols @ w_mat.T  # single GEMM -> (N*P, F)
         out = np.moveaxis(out2d.reshape(n, oh, ow, c_out), 3, 1)
@@ -211,7 +228,6 @@ class ReferenceKernels(KernelBackend):
 
     def conv2d_backward(self, g: np.ndarray, ctx: ConvCtx):
         """Two GEMMs + col2im scatter.  Returns ``(gx, gw[, gb])``."""
-        g = self.cast(g)
         n = ctx.x_shape[0]
         c_out, _, kh, kw_ = ctx.w_shape
         oh, ow = g.shape[2], g.shape[3]
@@ -219,7 +235,7 @@ class ReferenceKernels(KernelBackend):
         g2d = np.moveaxis(g, 1, 3).reshape(n * oh * ow, c_out)
         gw = (g2d.T @ ctx.cols).reshape(ctx.w_shape)  # single GEMM
         dcols = g2d @ ctx.w_mat  # single GEMM -> (N*P, K)
-        gx = self.col2im(dcols, ctx.x_shape, kh, kw_, ctx.stride, ctx.padding)
+        gx = col2im(dcols, ctx.x_shape, kh, kw_, ctx.stride, ctx.padding)
         if not ctx.has_bias:
             return gx, gw
         gb = g.sum(axis=(0, 2, 3))
@@ -237,12 +253,11 @@ class ReferenceKernels(KernelBackend):
 
     def fused_conv_bias_relu_backward(self, g: np.ndarray, ctx: ConvCtx):
         """ReLU mask then the conv backward; gb sees the masked gradient."""
-        return self.conv2d_backward(self.cast(g) * ctx.mask, ctx)
+        return self.conv2d_backward(g * ctx.mask, ctx)
 
     # -- max pooling ----------------------------------------------------
     def maxpool_forward(self, x: np.ndarray, kernel: int, stride: int):
         """Windowed argmax; returns ``(out, arg)`` with arg kept for backward."""
-        x = self.cast(x)
         n, c, h, w = x.shape
         oh, ow = conv_output_shape((h, w), (kernel, kernel), stride, 0)
         windows = sliding_window_view(x, (kernel, kernel), axis=(2, 3))[
@@ -255,9 +270,6 @@ class ReferenceKernels(KernelBackend):
 
     def maxpool_backward(self, x_shape, arg, g, kernel: int, stride: int, dtype):
         """Scatter (non-overlapping fast path) or add.at (general) input grad."""
-        g = self.cast(g)
-        if self.compute_dtype is not None:
-            dtype = self.compute_dtype
         scatter = (
             max_pool2d_backward_scatter
             if stride >= kernel
@@ -270,7 +282,6 @@ class ReferenceKernels(KernelBackend):
         self, x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray], want_ctx: bool
     ):
         """``x @ w.T + b`` for 2-D ``x`` with PyTorch ``(out, in)`` weights."""
-        x, w, b = self.cast(x), self.cast(w), self.cast(b)
         out = x @ w.T
         if b is not None:
             out = out + b
@@ -278,7 +289,6 @@ class ReferenceKernels(KernelBackend):
         return out, ctx
 
     def linear_backward(self, g: np.ndarray, ctx: LinearCtx):
-        g = self.cast(g)
         gx = g @ ctx.w
         gw = g.T @ ctx.x
         if not ctx.has_bias:
@@ -287,10 +297,10 @@ class ReferenceKernels(KernelBackend):
 
     # -- elementwise train-step ops -------------------------------------
     def relu_forward(self, x: np.ndarray) -> np.ndarray:
-        return np.maximum(self.cast(x), 0)
+        return np.maximum(x, 0)
 
     def relu_backward(self, g: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return self.cast(g) * (x > 0)
+        return g * (x > 0)
 
     def sgd_update(
         self,
@@ -302,12 +312,8 @@ class ReferenceKernels(KernelBackend):
         nesterov: bool,
         weight_decay: float,
     ) -> Optional[np.ndarray]:
-        """In-place SGD step on one parameter; returns the velocity buffer.
-
-        Runs in the parameter's own dtype regardless of ``compute_dtype`` —
-        optimizer state precision is a training-semantics decision, not a
-        kernel one.
-        """
+        """In-place SGD step on one parameter; returns the velocity buffer,
+        which keeps the parameter's dtype."""
         g = grad
         if weight_decay:
             g = g + weight_decay * param

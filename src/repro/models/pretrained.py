@@ -25,7 +25,13 @@ import numpy as np
 from ..nn import Module
 from ..utils import artifacts_dir, atomic_write_text, atomic_writer, canonical_json
 
-__all__ = ["pretrained_key", "load_checkpoint", "save_checkpoint", "get_pretrained_state"]
+__all__ = [
+    "pretrained_key",
+    "load_checkpoint",
+    "save_checkpoint",
+    "restored_epoch",
+    "get_pretrained_state",
+]
 
 
 def pretrained_key(
@@ -96,6 +102,21 @@ def load_checkpoint(key: str) -> Optional[Dict[str, np.ndarray]]:
         return None
 
 
+def restored_epoch(history, restore_best: bool = True) -> Optional[int]:
+    """Index of the epoch whose weights a finished ``Trainer.run`` holds.
+
+    With ``restore_best`` that is the first epoch with the highest val
+    top1 (the trainer only replaces its best on a strict ``>``); without
+    it, the last epoch.  ``None`` for an empty history.
+    """
+    if not history:
+        return None
+    if not restore_best:
+        return len(history) - 1
+    tops = [record["val_top1"] for record in history]
+    return tops.index(max(tops))
+
+
 def get_pretrained_state(
     model_name: str,
     model_kwargs: Dict,
@@ -108,20 +129,21 @@ def get_pretrained_state(
     """Return (state_dict, key), training and caching on first use.
 
     ``trainer_factory()`` must build, train and return the model; it is only
-    invoked on a cache miss.
+    invoked on a cache miss.  The metadata sidecar records the last epoch's
+    val top1 and the epoch whose weights were saved (see
+    :func:`restored_epoch`).
     """
+    recipe = (
+        train_config.to_dict() if hasattr(train_config, "to_dict") else dict(train_config)
+    )
     key = pretrained_key(
-        model_name,
-        model_kwargs,
-        dataset_name,
-        dataset_kwargs,
-        train_config.to_dict() if hasattr(train_config, "to_dict") else dict(train_config),
-        seed,
+        model_name, model_kwargs, dataset_name, dataset_kwargs, recipe, seed
     )
     state = load_checkpoint(key)
     if state is None:
         model, history = trainer_factory()
         state = model.state_dict()
+        saved = restored_epoch(history, recipe.get("restore_best", True))
         save_checkpoint(
             key,
             state,
@@ -132,6 +154,10 @@ def get_pretrained_state(
                 "dataset_kwargs": dataset_kwargs,
                 "seed": seed,
                 "final_val_top1": history[-1]["val_top1"] if history else None,
+                "restored_epoch": saved,
+                "restored_val_top1": (
+                    None if saved is None else history[saved]["val_top1"]
+                ),
                 "epochs_ran": len(history),
             },
         )

@@ -14,12 +14,11 @@ Coverage map (layer → benches):
   against its ``np.add.at`` reference), and ``nn_train_step`` (a full
   forward/backward/SGD step on a small conv net — the inner loop of every
   pretrain and fine-tune).
-* **kernels** — per-backend twins pinned via ``use_backend`` regardless of
-  ``REPRO_KERNEL_BACKEND``: ``kernel_conv2d_forward_<backend>`` /
-  ``kernel_conv2d_backward_<backend>`` /
-  ``kernel_fused_conv_bias_relu_<backend>`` / ``nn_train_step_<backend>``
-  for ``reference`` and ``fast``, so every report documents the fast
-  backend's current win over the byte-equivalent reference.
+* **kernels** — the ``reference`` backend's primitives, pinned via
+  ``use_backend`` regardless of ``REPRO_KERNEL_BACKEND``:
+  ``kernel_conv2d_forward_reference`` / ``kernel_conv2d_backward_reference``
+  (the im2col gather + GEMM, and the two GEMMs + col2im scatter) /
+  ``kernel_fused_conv_bias_relu_reference`` / ``nn_train_step_reference``.
 * **pruning** — ``pruning_mask_apply`` (the post-optimizer-step mask
   enforcement that runs once per training step) and
   ``pruning_magnitude_scores`` (the §7.2 scoring family shared by the
@@ -61,12 +60,12 @@ import tempfile
 
 import numpy as np
 
-from ..autograd import Tensor, conv2d, conv2d_bias_relu, cross_entropy
+from ..autograd import Tensor, conv2d, cross_entropy
 from ..autograd.conv import (
     _max_pool2d_backward_add_at,
     _max_pool2d_backward_scatter,
 )
-from ..kernels import use_backend
+from ..kernels import resolve_backend, use_backend
 from ..experiment.cache import ResultCache
 from ..experiment.prune import ExperimentSpec
 from ..experiment.queue import WorkQueue
@@ -171,14 +170,14 @@ def _bench_train_step():
 
 
 # --------------------------------------------------------------------------
-# kernels: per-backend twins (reference vs fast on identical workloads)
+# kernels: the reference backend's primitives
 # --------------------------------------------------------------------------
 #
-# The conv twins call the backend primitives directly on raw ndarrays — the
+# The conv benches call the backend primitives directly on raw ndarrays — the
 # tape's contribution is already measured by the ``autograd_*`` benches, and
-# keeping it out of the timed region stops the shared dispatch overhead from
-# diluting the kernel-level difference.  The train-step twins keep the full
-# autograd path (that IS their workload) pinned via ``use_backend``.
+# keeping it out of the timed region isolates the kernel.  The train-step
+# bench keeps the full autograd path (that IS its workload) pinned via
+# ``use_backend``.
 
 def _raw_conv_args(seed: int = 0):
     rng = np.random.default_rng(seed)
@@ -188,81 +187,51 @@ def _raw_conv_args(seed: int = 0):
     return x, w, b
 
 
-def _make_kernel_conv_forward(backend: str):
-    def setup():
-        from ..kernels import resolve_backend
-
-        kb = resolve_backend(backend)
-        x, w, b = _raw_conv_args()
-        return lambda: kb.conv2d_forward(x, w, b, 1, 1, True)
-
-    return setup
+@benchmark("kernel_conv2d_forward_reference",
+           "conv2d forward pinned to the reference backend")
+def _bench_kernel_conv_forward():
+    kb = resolve_backend("reference")
+    x, w, b = _raw_conv_args()
+    return lambda: kb.conv2d_forward(x, w, b, 1, 1, True)
 
 
-def _make_kernel_conv_backward(backend: str):
-    def setup():
-        from ..kernels import resolve_backend
-
-        kb = resolve_backend(backend)
-        x, w, b = _raw_conv_args()
-        out, ctx = kb.conv2d_forward(x, w, b, 1, 1, True)
-        g = np.ones_like(out)
-        return lambda: kb.conv2d_backward(g, ctx)
-
-    return setup
+@benchmark("kernel_conv2d_backward_reference",
+           "conv2d backward pinned to the reference backend")
+def _bench_kernel_conv_backward():
+    kb = resolve_backend("reference")
+    x, w, b = _raw_conv_args()
+    out, ctx = kb.conv2d_forward(x, w, b, 1, 1, True)
+    g = np.ones_like(out)
+    return lambda: kb.conv2d_backward(g, ctx)
 
 
-def _make_kernel_fused_conv(backend: str):
-    def setup():
-        from ..kernels import resolve_backend
-
-        kb = resolve_backend(backend)
-        x, w, b = _raw_conv_args()
-        return lambda: kb.fused_conv_bias_relu_forward(x, w, b, 1, 1, True)
-
-    return setup
+@benchmark("kernel_fused_conv_bias_relu_reference",
+           "fused conv+bias+ReLU forward on the reference backend")
+def _bench_kernel_fused_conv():
+    kb = resolve_backend("reference")
+    x, w, b = _raw_conv_args()
+    return lambda: kb.fused_conv_bias_relu_forward(x, w, b, 1, 1, True)
 
 
-def _make_kernel_train_step(backend: str):
-    def setup():
-        rng = np.random.default_rng(0)
-        model = _small_convnet()
-        opt = OPTIMIZERS.create("sgd", list(model.parameters()), lr=0.01,
-                                momentum=0.9)
-        xb = rng.standard_normal((32, 3, 16, 16))
-        yb = rng.integers(0, 10, 32)
-        model.train()
+@benchmark("nn_train_step_reference",
+           "full train step pinned to the reference backend")
+def _bench_kernel_train_step():
+    rng = np.random.default_rng(0)
+    model = _small_convnet()
+    opt = OPTIMIZERS.create("sgd", list(model.parameters()), lr=0.01,
+                            momentum=0.9)
+    xb = rng.standard_normal((32, 3, 16, 16))
+    yb = rng.integers(0, 10, 32)
+    model.train()
 
-        def step():
-            with use_backend(backend):
-                loss = cross_entropy(model(Tensor(xb)), yb)
-                model.zero_grad()
-                loss.backward()
-                opt.step()
+    def step():
+        with use_backend("reference"):
+            loss = cross_entropy(model(Tensor(xb)), yb)
+            model.zero_grad()
+            loss.backward()
+            opt.step()
 
-        return step
-
-    return setup
-
-
-for _backend in ("reference", "fast"):
-    benchmark(
-        f"kernel_conv2d_forward_{_backend}",
-        f"conv2d forward pinned to the {_backend} backend (twin)",
-    )(_make_kernel_conv_forward(_backend))
-    benchmark(
-        f"kernel_conv2d_backward_{_backend}",
-        f"conv2d backward pinned to the {_backend} backend (twin)",
-    )(_make_kernel_conv_backward(_backend))
-    benchmark(
-        f"kernel_fused_conv_bias_relu_{_backend}",
-        f"fused conv+bias+ReLU forward on the {_backend} backend (twin)",
-    )(_make_kernel_fused_conv(_backend))
-    benchmark(
-        f"nn_train_step_{_backend}",
-        f"full train step pinned to the {_backend} backend (twin)",
-    )(_make_kernel_train_step(_backend))
-del _backend
+    return step
 
 
 # --------------------------------------------------------------------------

@@ -1,14 +1,17 @@
 """Tests for the pretrained-checkpoint cache (models.pretrained)."""
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.experiment import OptimizerConfig, TrainConfig
-from repro.models import create_model
+from repro.models import MODELS, create_model
 from repro.models.pretrained import (
     get_pretrained_state,
     load_checkpoint,
     pretrained_key,
+    restored_epoch,
     save_checkpoint,
 )
 
@@ -87,3 +90,27 @@ class TestStore:
         assert key1 == key2
         assert len(calls) == 1  # second call is a cache hit
         np.testing.assert_array_equal(state1["fc1.weight"], state2["fc1.weight"])
+
+    def test_meta_names_the_restored_epoch(self, tmp_path, monkeypatch):
+        # the best epoch is not the last, and epochs 1 and 3 tie for best:
+        # the saved weights are epoch 1's (Trainer.run replaces on a strict >)
+        monkeypatch.setenv("REPRO_ARTIFACTS", str(tmp_path))
+        history = [{"epoch": i, "val_top1": top1}
+                   for i, top1 in enumerate([0.30, 0.62, 0.41, 0.62, 0.50])]
+
+        def factory():
+            model = MODELS.create("lenet-300-100", input_size=8, in_channels=1)
+            return model, history
+
+        _, key = get_pretrained_state("m", {}, "d", {}, _cfg(), 0, factory)
+        meta = json.loads((tmp_path / "pretrained" / f"{key}.json").read_text())
+        assert meta["final_val_top1"] == 0.50
+        assert meta["restored_epoch"] == 1
+        assert meta["restored_val_top1"] == 0.62
+        assert meta["epochs_ran"] == 5
+
+    def test_restored_epoch_without_restore_best_is_the_last(self):
+        history = [{"val_top1": 0.9}, {"val_top1": 0.1}]
+        assert restored_epoch(history, restore_best=True) == 0
+        assert restored_epoch(history, restore_best=False) == 1
+        assert restored_epoch([], restore_best=True) is None
