@@ -1129,7 +1129,9 @@ def queue_outstanding(source) -> Dict[str, int]:
     path = Path(source)
     out = {"pending": 0, "leased": 0}
     if path.is_dir() and is_queue_dir(path):
-        for state in out:
+        # leased/ before pending/: a claim renames a cell from pending/ to
+        # leased/, so counting the later state first never counts it twice
+        for state in ("leased", "pending"):
             sub = path / state
             if sub.is_dir():
                 out[state] = sum(1 for _ in sub.glob("*.json"))

@@ -12,33 +12,40 @@ Pipeline (Appendix C):
 4. Fine-tune with masks enforced after every optimizer step; early stopping
    on validation accuracy.
 5. Report raw Top-1/Top-5, compression ratio AND theoretical speedup.
+
+A process computes what its cells share once: the dataset, the decoded
+checkpoint (in :func:`~repro.models.pretrained.load_checkpoint`) and the
+control's measurements are memoized by content address, and the final
+Top-1/Top-5 are the fine-tune's own evaluation of the weights it keeps
+whenever that evaluation ran on the final evaluation's batches.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
-from typing import Dict, Optional
+from types import MappingProxyType
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
 from ..data import DataLoader
 from ..kernels import active_backend_name
 from ..metrics import (
-    dense_flops,
-    effective_flops,
     evaluate,
+    flops_totals,
     nonzero_params,
-    theoretical_speedup,
+    speedup_from_totals,
     total_params,
 )
 from ..models import MODELS
 from ..models.pretrained import get_pretrained_state
 from ..nn import Module
 from ..pruning import STRATEGIES, Pruner, PruningContext, schedule_targets
+from ..utils import BoundedMemo, canonical_json
 from .config import TrainConfig, _known_fields, cifar_finetune_config
 from .datasets import DATASETS
 from .results import PruningResult
-from .train import Trainer
+from .train import EVAL_BATCH_SIZE, Trainer
 
 __all__ = [
     "ExperimentSpec",
@@ -112,6 +119,51 @@ def baseline_spec_for(spec: ExperimentSpec) -> ExperimentSpec:
     )
 
 
+def _read_only(bundle):
+    """Freeze the arrays of a dataset bundle and its splits, so a cell that
+    writes into the shared data raises instead of changing later cells."""
+    for holder in (bundle, bundle.train, bundle.val):
+        for value in vars(holder).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+    return bundle
+
+
+def _size_metrics(model: Module, input_shape: Tuple[int, ...]) -> Dict[str, float]:
+    """A row's size and compute fields for ``model`` as it stands, from one
+    traced forward pass."""
+    dense, effective = flops_totals(model, input_shape)
+    return {
+        "total_params": total_params(model),
+        "nonzero_params": nonzero_params(model),
+        # counts weight.size, so a pruned model's equals its control's
+        "dense_flops": dense,
+        "effective_flops": effective,
+        "theoretical_speedup": speedup_from_totals(dense, effective),
+    }
+
+
+@dataclass(frozen=True)
+class _Control:
+    """The unpruned control's measurements (§6), shared by a process's cells."""
+
+    metrics: Mapping[str, float]  # evaluate() on the cell's eval loader
+    size: Mapping[str, float]  # _size_metrics() of the unpruned model
+
+
+#: a control is keyed by its eval seed, and a queue claims cells in hash
+#: order, which interleaves the seeds: traced, the 12 seeds of one
+#: checkpoint need 12 entries (11 re-evaluate 46 controls); the rest is
+#: headroom for more seeds or checkpoints that no benchmark measures
+CONTROL_MEMO_SIZE = 32
+
+#: dataset bundles by (name, registered factory, canonical kwargs)
+_DATASETS = BoundedMemo()
+#: controls by (checkpoint identity, dataset key, model factory, eval batch
+#: size, eval seed, kernel backend)
+_CONTROLS = BoundedMemo(CONTROL_MEMO_SIZE)
+
+
 class PruningExperiment:
     """Run one :class:`ExperimentSpec` and produce a :class:`PruningResult`.
 
@@ -124,9 +176,19 @@ class PruningExperiment:
 
     def __init__(self, spec: ExperimentSpec) -> None:
         self.spec = spec
-        self.dataset = DATASETS.create(spec.dataset, **spec.dataset_kwargs)
+        self.dataset_key = (
+            spec.dataset,
+            DATASETS.get(spec.dataset),
+            canonical_json(spec.dataset_kwargs),
+        )
+        self.dataset = _DATASETS.get(
+            self.dataset_key,
+            lambda: _read_only(DATASETS.create(spec.dataset, **spec.dataset_kwargs)),
+        )
         self.model: Optional[Module] = None
         self.pretrained_key = ""
+        #: (path, inode, size, mtime_ns) of the checkpoint file loaded
+        self.checkpoint: Optional[Tuple] = None
         self.baseline_result: Optional[PruningResult] = None
 
     # -- stages ----------------------------------------------------------
@@ -159,6 +221,7 @@ class PruningExperiment:
             self._pretrain_factory(),
         )
         self.pretrained_key = key
+        self.checkpoint = state.identity
         model = self._build_model()
         model.load_state_dict(state)
         self.model = model
@@ -171,12 +234,26 @@ class PruningExperiment:
 
         eval_loader = DataLoader(
             self.dataset.val,
-            batch_size=128,
+            batch_size=EVAL_BATCH_SIZE,
             shuffle=False,
             seed=spec.seed,
             transform=self.dataset.eval_transform(),
         )
-        baseline = evaluate(model, eval_loader)
+        control = _CONTROLS.get(
+            (
+                self.checkpoint,
+                self.dataset_key,
+                MODELS.get(spec.model),
+                eval_loader.batch_size,
+                eval_loader.seed,
+                active_backend_name(),
+            ),
+            lambda: _Control(
+                metrics=MappingProxyType(evaluate(model, eval_loader)),
+                size=MappingProxyType(_size_metrics(model, input_shape)),
+            ),
+        )
+        baseline = control.metrics
         result = PruningResult(
             model=spec.model,
             dataset=spec.dataset,
@@ -186,7 +263,6 @@ class PruningExperiment:
             baseline_top1=baseline["top1"],
             baseline_top5=baseline.get("top5", 0.0),
             pretrained_key=self.pretrained_key,
-            dense_flops=dense_flops(model, input_shape),
         )
         # Provenance: which compute backend produced this row.  Rows from
         # different backends need not be comparable bit-for-bit, so reports
@@ -206,10 +282,7 @@ class PruningExperiment:
                 pre_finetune_top5=baseline.get("top5", 0.0),
                 top1=baseline["top1"],
                 top5=baseline.get("top5", 0.0),
-                total_params=total_params(model),
-                nonzero_params=nonzero_params(model),
-                effective_flops=effective_flops(model, input_shape),
-                theoretical_speedup=theoretical_speedup(model, input_shape),
+                **control.size,
                 extra={"kernel_backend": active_backend_name()},
             )  # fresh dict — replace() would otherwise share result's extra
 
@@ -256,16 +329,22 @@ class PruningExperiment:
             history = trainer.run()
             result.finetune_epochs_ran += len(history)
             registry.validate()
+            # the fine-tune evaluated the weights it kept on eval_loader's
+            # batches iff its val loader has the same batch size
+            same_batches = trainer.val_loader.batch_size == eval_loader.batch_size
+            final = trainer.final_eval if same_batches else None
+            size = _size_metrics(model, input_shape)
         else:
+            # nothing is pruned: the final model is the control
             result.actual_compression = 1.0
             result.pre_finetune_top1 = baseline["top1"]
             result.pre_finetune_top5 = baseline.get("top5", 0.0)
+            final, size = baseline, control.size
 
-        final = evaluate(model, eval_loader)
+        if final is None:
+            final = evaluate(model, eval_loader)
         result.top1 = final["top1"]
         result.top5 = final.get("top5", 0.0)
-        result.total_params = total_params(model)
-        result.nonzero_params = nonzero_params(model)
-        result.effective_flops = effective_flops(model, input_shape)
-        result.theoretical_speedup = theoretical_speedup(model, input_shape)
+        for name, value in size.items():
+            setattr(result, name, value)
         return result

@@ -20,7 +20,11 @@ from ..optim import OPTIMIZERS, EarlyStopping, Optimizer
 from ..pruning import MaskRegistry
 from .config import TrainConfig
 
-__all__ = ["Trainer", "build_optimizer"]
+__all__ = ["Trainer", "build_optimizer", "EVAL_BATCH_SIZE"]
+
+#: batch size of every validation pass; a fine-tune whose batches are no
+#: larger evaluates on exactly the batches a cell's final evaluation uses
+EVAL_BATCH_SIZE = 128
 
 
 def build_optimizer(model: Module, config: TrainConfig) -> Optimizer:
@@ -69,6 +73,10 @@ class Trainer:
         self.seed = seed
         self.masks = masks
         self.history: List[Dict[str, float]] = []
+        #: the ``evaluate`` dict of the weights :meth:`run` leaves in the
+        #: model: the first best epoch's under ``restore_best``, else the
+        #: last epoch's; None until an epoch has run
+        self.final_eval: Optional[Dict[str, float]] = None
         self.train_loader = DataLoader(
             dataset.train,
             batch_size=config.batch_size,
@@ -78,7 +86,7 @@ class Trainer:
         )
         self.val_loader = DataLoader(
             dataset.val,
-            batch_size=max(config.batch_size, 128),
+            batch_size=max(config.batch_size, EVAL_BATCH_SIZE),
             shuffle=False,
             seed=seed,
             transform=dataset.eval_transform(),
@@ -126,6 +134,9 @@ class Trainer:
                 best_acc = val["top1"]
                 if self.config.restore_best:
                     best_state = self.model.state_dict()
+                    self.final_eval = val
+            if not self.config.restore_best:
+                self.final_eval = val
             if stopper is not None and stopper.update(val["top1"], epoch):
                 break
         if best_state is not None:
@@ -133,7 +144,3 @@ class Trainer:
             if self.masks is not None:
                 self.masks.apply()  # snapshot predates no masks, but be safe
         return self.history
-
-    def final_metrics(self) -> Dict[str, float]:
-        """Evaluate the (possibly restored) model on the validation set."""
-        return evaluate(self.model, self.val_loader)

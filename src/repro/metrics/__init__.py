@@ -17,6 +17,8 @@ from .flops import (
     dense_flops,
     effective_flops,
     flops_by_layer,
+    flops_totals,
+    speedup_from_totals,
     theoretical_speedup,
     trace_layers,
 )
@@ -38,6 +40,8 @@ __all__ = [
     "dense_flops",
     "effective_flops",
     "flops_by_layer",
+    "flops_totals",
+    "speedup_from_totals",
     "theoretical_speedup",
     "topk_accuracy",
     "evaluate",

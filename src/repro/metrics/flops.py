@@ -34,6 +34,8 @@ __all__ = [
     "trace_layers",
     "dense_flops",
     "effective_flops",
+    "flops_totals",
+    "speedup_from_totals",
     "theoretical_speedup",
     "flops_by_layer",
 ]
@@ -143,8 +145,14 @@ def flops_by_layer(
     effective: bool = False,
 ) -> Dict[str, float]:
     """Per-layer FLOPs.  ``effective=True`` counts only nonzero weights."""
+    return _per_layer(trace_layers(model, input_shape), convention, effective)
+
+
+def _per_layer(
+    traces: List[LayerTrace], convention: FlopsConvention, effective: bool
+) -> Dict[str, float]:
     result: Dict[str, float] = {}
-    for trace in trace_layers(model, input_shape):
+    for trace in traces:
         if isinstance(trace.module, Linear) and not convention.include_linear:
             continue
         nz = (
@@ -177,14 +185,30 @@ def effective_flops(
     )
 
 
+def flops_totals(
+    model: Module,
+    input_shape: Tuple[int, ...],
+    convention: FlopsConvention = DEFAULT_CONVENTION,
+) -> Tuple[float, float]:
+    """``(dense_flops, effective_flops)`` from one traced forward pass."""
+    traces = trace_layers(model, input_shape)
+    return (
+        sum(_per_layer(traces, convention, effective=False).values()),
+        sum(_per_layer(traces, convention, effective=True).values()),
+    )
+
+
 def theoretical_speedup(
     model: Module,
     input_shape: Tuple[int, ...],
     convention: FlopsConvention = DEFAULT_CONVENTION,
 ) -> float:
     """§6 definition: original multiply-adds / pruned multiply-adds."""
-    dense = dense_flops(model, input_shape, convention)
-    eff = effective_flops(model, input_shape, convention)
-    if eff <= 0:
+    return speedup_from_totals(*flops_totals(model, input_shape, convention))
+
+
+def speedup_from_totals(dense: float, effective: float) -> float:
+    """``dense / effective``, the theoretical speedup of :func:`flops_totals`."""
+    if effective <= 0:
         raise ValueError("model has zero effective FLOPs (fully pruned?)")
-    return dense / eff
+    return dense / effective

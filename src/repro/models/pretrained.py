@@ -10,22 +10,34 @@ Checkpoints are ``.npz`` files under ``artifacts/pretrained/`` keyed by a
 hash of the full configuration; the Figure 8 experiment gets its two
 distinct checkpoints ("Weights A"/"Weights B") by varying the recipe's
 learning rate, exactly as in the paper.
+
+A process decodes each checkpoint file once: :func:`load_checkpoint`
+memoizes the read-only arrays by the identity of the file it opened.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import zipfile
+from collections.abc import Mapping
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
 from ..nn import Module
-from ..utils import artifacts_dir, atomic_write_text, atomic_writer, canonical_json
+from ..utils import (
+    BoundedMemo,
+    artifacts_dir,
+    atomic_write_text,
+    atomic_writer,
+    canonical_json,
+)
 
 __all__ = [
+    "CheckpointState",
     "pretrained_key",
     "load_checkpoint",
     "save_checkpoint",
@@ -87,17 +99,57 @@ def save_checkpoint(key: str, state: Dict[str, np.ndarray], meta: Optional[Dict]
     return path
 
 
-def load_checkpoint(key: str) -> Optional[Dict[str, np.ndarray]]:
-    """Load a cached state dict, or None if absent."""
-    path = _path_for(key)
-    if not path.exists():
-        return None
+class CheckpointState(Mapping):
+    """A checkpoint's state dict, read-only, with ``identity`` naming the file.
+
+    ``identity`` is ``(path, inode, size, mtime_ns)`` of the opened file.
+    The mapping and its arrays are shared by every cell of the process, so
+    neither accepts writes; ``Module.load_state_dict`` copies the arrays
+    into the model.
+    """
+
+    def __init__(self, arrays: Dict[str, np.ndarray], identity: Tuple) -> None:
+        self._arrays = arrays
+        self.identity = identity
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._arrays[name]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._arrays)
+
+    def __len__(self) -> int:
+        return len(self._arrays)
+
+
+#: decoded checkpoints, by the identity of the file they were read from
+_STATES = BoundedMemo()
+
+
+def _decode(f, identity: Tuple) -> CheckpointState:
+    with np.load(f) as data:
+        arrays = {name: data[name] for name in data.files}
+    for array in arrays.values():
+        array.flags.writeable = False
+    return CheckpointState(arrays, identity)
+
+
+def load_checkpoint(key: str) -> Optional[CheckpointState]:
+    """Load a cached state dict, or None if absent or unreadable.
+
+    Memoized per process by the opened file's path, inode, size and
+    ``st_mtime_ns``, so a rewritten checkpoint or another
+    ``REPRO_ARTIFACTS`` is read afresh.
+    """
+    path = os.path.abspath(_path_for(key))
     try:
-        with np.load(path) as data:
-            return {name: data[name] for name in data.files}
-    # Torn/corrupt files (crashed pre-atomic writer, disk-full truncation):
-    # np.load raises BadZipFile for truncated archives and EOFError for
-    # zero-byte files, besides the OSError/ValueError cases.
+        with open(path, "rb") as f:
+            st = os.fstat(f.fileno())
+            identity = (path, st.st_ino, st.st_size, st.st_mtime_ns)
+            return _STATES.get(identity, lambda: _decode(f, identity))
+    # Absent, torn or corrupt files (crashed pre-atomic writer, disk-full
+    # truncation): np.load raises BadZipFile for truncated archives and
+    # EOFError for zero-byte files, besides the OSError/ValueError cases.
     except (OSError, ValueError, EOFError, zipfile.BadZipFile):
         return None
 
@@ -125,13 +177,14 @@ def get_pretrained_state(
     train_config,
     seed: int,
     trainer_factory,
-) -> Tuple[Dict[str, np.ndarray], str]:
+) -> Tuple[CheckpointState, str]:
     """Return (state_dict, key), training and caching on first use.
 
     ``trainer_factory()`` must build, train and return the model; it is only
-    invoked on a cache miss.  The metadata sidecar records the last epoch's
-    val top1 and the epoch whose weights were saved (see
-    :func:`restored_epoch`).
+    invoked on a cache miss, and the state returned is then read back from
+    the file written, so every caller starts from the bytes on disk.  The
+    metadata sidecar records the last epoch's val top1 and the epoch whose
+    weights were saved (see :func:`restored_epoch`).
     """
     recipe = (
         train_config.to_dict() if hasattr(train_config, "to_dict") else dict(train_config)
@@ -142,11 +195,10 @@ def get_pretrained_state(
     state = load_checkpoint(key)
     if state is None:
         model, history = trainer_factory()
-        state = model.state_dict()
         saved = restored_epoch(history, recipe.get("restore_best", True))
         save_checkpoint(
             key,
-            state,
+            model.state_dict(),
             meta={
                 "model": model_name,
                 "model_kwargs": model_kwargs,
@@ -161,4 +213,7 @@ def get_pretrained_state(
                 "epochs_ran": len(history),
             },
         )
+        state = load_checkpoint(key)
+        if state is None:
+            raise OSError(f"checkpoint {_path_for(key)} unreadable after its write")
     return state, key

@@ -1,4 +1,5 @@
-"""Shared utilities: BLAS thread control, artifact cache paths, strict JSON."""
+"""Shared utilities: BLAS thread control, artifact cache paths, strict JSON,
+per-process memos."""
 
 from .threads import configure_blas_threads_from_env, set_blas_threads
 from .cache import artifacts_dir, atomic_write_text, atomic_writer
@@ -8,6 +9,7 @@ from .jsonio import (
     restore_nonfinite,
     sanitize_nonfinite,
 )
+from .memo import MEMO_SIZE, BoundedMemo
 
 __all__ = [
     "configure_blas_threads_from_env",
@@ -19,4 +21,6 @@ __all__ = [
     "canonical_json",
     "restore_nonfinite",
     "sanitize_nonfinite",
+    "MEMO_SIZE",
+    "BoundedMemo",
 ]

@@ -16,9 +16,13 @@ Behavior kwargs (all consumed here, never passed to the dataset):
     ``"exit"`` (``os._exit`` — a hard worker crash that skips all cleanup;
     with ``fail_times`` set, only the first ``fail_times`` executions die).
 ``sleep``
-    Seconds to sleep before acting — makes a cell slow enough to outlive a
-    short lease.  With ``fail_times`` set, only the first ``fail_times``
-    executions sleep ("hangs, then recovers when re-run").
+    Seconds each ``Trainer`` built on the dataset sleeps, when it asks for
+    the train transform — makes a cell slow enough to outlive a short
+    lease.  A process reuses the dataset of one ``dataset_kwargs``, so the
+    slowdown is carried by the bundle: it fires in every execution that
+    fine-tunes (and in each pretraining).  With ``fail_times`` set, only
+    the first ``fail_times`` such trainers sleep ("hangs, then recovers
+    when re-run").
 ``fail_times``
     How many executions misbehave before the cell turns healthy.
 ``scratch``
@@ -58,11 +62,12 @@ class CrashyError(RuntimeError):
     """The injected failure — tests assert on this exact type/name."""
 
 
-def _bump_attempt(scratch, cell: str) -> int:
-    """Count executions of one cell across processes; returns the 1-based
-    ordinal of this execution.  Append-to-file is atomic enough at this
-    scale (single byte, O_APPEND) and keeps the counter monkeypatch-free."""
-    path = Path(scratch) / f"{cell or 'cell'}.attempts"
+def _bump_attempt(scratch, cell: str, counter: str = "attempts") -> int:
+    """Count executions of one cell (or, as ``counter="sleeps"``, its
+    trainers) across processes; returns the 1-based ordinal of this one.
+    Append-to-file is atomic enough at this scale (single byte, O_APPEND)
+    and keeps the counter monkeypatch-free."""
+    path = Path(scratch) / f"{cell or 'cell'}.{counter}"
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "a") as f:
         f.write(".")
@@ -82,14 +87,14 @@ def crashy_dataset(
 
     Construction happens inside ``PruningExperiment.__init__`` — i.e. in
     whichever process is executing the cell — so a fault injected here is a
-    fault *in the worker*, exactly like a real broken cell.
+    fault *in the worker*, exactly like a real broken cell.  A construction
+    that raises or exits is never reused, so these faults fire in every
+    execution they gate; ``sleep`` is carried by the bundle instead.
     """
     attempt = _bump_attempt(scratch, cell) if scratch else None
     if fail_times and attempt is None:
         raise ValueError("fail_times gating needs scratch= to count attempts")
     misbehaving = attempt <= fail_times if fail_times else True
-    if sleep and misbehaving:
-        time.sleep(sleep)
     if behavior == "raise":
         raise CrashyError(f"injected failure in cell {cell!r}")
     if behavior == "flaky":
@@ -105,7 +110,24 @@ def crashy_dataset(
     kwargs.setdefault("n_val", 16)
     kwargs.setdefault("size", 4)
     kwargs.setdefault("noise", 0.5)
-    return SyntheticCIFAR10(**kwargs)
+    return _SlowCIFAR10(sleep, fail_times, scratch, cell, **kwargs)
+
+
+class _SlowCIFAR10(SyntheticCIFAR10):
+    """The crashy bundle: every ``Trainer`` built on it first sleeps
+    ``sleep`` seconds (the first ``fail_times`` of them, if set)."""
+
+    def __init__(self, sleep, fail_times, scratch, cell, **kwargs):
+        super().__init__(**kwargs)
+        self.slowdown = (sleep, fail_times, scratch, cell)
+
+    def train_transform(self):
+        sleep, fail_times, scratch, cell = self.slowdown
+        if sleep and (
+            not fail_times or _bump_attempt(scratch, cell, "sleeps") <= fail_times
+        ):
+            time.sleep(sleep)
+        return super().train_transform()
 
 
 # idempotent: pytest, forked pool workers, and `worker --import exp_fixtures`

@@ -608,6 +608,23 @@ def _popen(argv, tmp_path, **kwargs):
     )
 
 
+def _stop_while_leasing(queue_dir, worker) -> list:
+    """SIGSTOP a launched worker and return the cells it holds a live lease
+    on; if it holds none, SIGCONT it and return [].  A stopped worker can
+    finish no cell, so a returned lease is still held when it is killed."""
+    os.kill(worker["pid"], signal.SIGSTOP)
+    queue = WorkQueue(queue_dir)
+    held = [
+        lease.stem for lease in sorted((queue_dir / "leased").glob("*.lease"))
+        if (queue.lease_info(lease.stem) or {}).get("worker")
+        == worker["worker_id"]
+        and not (queue_dir / "done" / f"{lease.stem}.json").exists()
+    ]
+    if not held:
+        os.kill(worker["pid"], signal.SIGCONT)
+    return held
+
+
 def _wait_for(predicate, timeout: float, interval: float = 0.2) -> bool:
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
@@ -663,10 +680,18 @@ class TestFleetFaultInjection:
         assert len(pids) == 2
         done_dir = queue_dir / "done"
         try:
-            # let the fleet make progress, then SIGKILL one worker mid-batch
+            # let the fleet make progress, then SIGKILL one worker mid-batch,
+            # stopped while it holds a lease
             assert _wait_for(
                 lambda: len(list(done_dir.glob("*.json"))) >= 2, timeout=120
             ), "fleet made no progress after the launcher died"
+            held = []
+            assert _wait_for(
+                lambda: held.extend(
+                    _stop_while_leasing(queue_dir, manifest["workers"][0])
+                ) or held,
+                timeout=60, interval=0.05,
+            ), "the worker never held a lease after the fleet's first cells"
             os.kill(pids[0], signal.SIGKILL)
 
             # the survivor drains the rest (recovering the dead worker's
@@ -685,6 +710,11 @@ class TestFleetFaultInjection:
 
         counts = WorkQueue(queue_dir).counts()
         assert counts["done"] == len(specs) and counts["failed"] == 0
+        # the killed worker's lease expired and the survivor re-ran its cell
+        for h in held:
+            marker = json.loads((done_dir / f"{h}.json").read_text())
+            assert marker["attempts"] >= 2, marker
+            assert "lease expired" in marker["failures"][0]["error"], marker
 
         # injected storage faults: one marker corrupted, one cache row gone
         done_hashes = sorted(p.stem for p in done_dir.glob("*.json"))

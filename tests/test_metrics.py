@@ -13,6 +13,7 @@ from repro.metrics import (
     effective_flops,
     evaluate,
     flops_by_layer,
+    flops_totals,
     fraction_pruned,
     fraction_remaining,
     model_size_bytes,
@@ -23,9 +24,16 @@ from repro.metrics import (
     total_params,
     trace_layers,
 )
-from repro.models import create_model
+from repro.metrics import flops as flops_module
+from repro.models import MODELS, create_model
 from repro.nn import Conv2d, Flatten, Linear, Module, Sequential
-from repro.pruning import GlobalMagWeight, LayerMagWeight, Pruner
+from repro.pruning import (
+    STRATEGIES,
+    GlobalMagWeight,
+    LayerMagWeight,
+    Pruner,
+    PruningContext,
+)
 
 
 class SmallConvNet(Module):
@@ -145,6 +153,38 @@ class TestFlops:
         m.fc.weight.data[:] = 0
         with pytest.raises(ValueError):
             theoretical_speedup(m, (2, 8, 8))
+
+    # (dense, effective, speedup) of each model randomly pruned 8x, as the
+    # two-trace implementation of theoretical_speedup computed them
+    PINNED = [
+        ("lenet-5", dict(input_size=16, in_channels=3), (3, 16, 16),
+         172200.0, 13095.0, 13.150057273768613),
+        ("resnet-20", dict(width_scale=0.25), (3, 8, 8),
+         164768.0, 15512.0, 10.62197008767406),
+        ("lenet-300-100", dict(input_size=8, in_channels=3), (3, 8, 8),
+         88600.0, 10716.0, 8.268010451661068),
+    ]
+
+    @pytest.mark.parametrize("name, kwargs, shape, dense, eff, speedup", PINNED)
+    def test_one_trace_gives_the_pinned_values(
+            self, name, kwargs, shape, dense, eff, speedup, monkeypatch):
+        m = MODELS.create(name, seed=0, **kwargs)
+        assert dense_flops(m, shape) == effective_flops(m, shape) == dense
+        Pruner(m, STRATEGIES.create("random")).prune(
+            8, PruningContext(rng=np.random.default_rng(3)))
+        traced = []
+        real_trace = flops_module.trace_layers
+
+        def counting(*args):
+            traced.append(args)
+            return real_trace(*args)
+
+        monkeypatch.setattr(flops_module, "trace_layers", counting)
+        assert flops_totals(m, shape) == (dense, eff)
+        assert theoretical_speedup(m, shape) == speedup
+        assert len(traced) == 2  # one pass per call
+        assert dense_flops(m, shape) == dense
+        assert effective_flops(m, shape) == eff
 
 
 class TestAccuracy:

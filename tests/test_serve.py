@@ -16,6 +16,7 @@ import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -563,6 +564,24 @@ class TestFleetEndpoint:
 
 class TestConcurrentReload:
     N_READERS = 4
+
+    def test_outstanding_never_counts_a_claimed_cell_twice(
+            self, tmp_path, monkeypatch):
+        queue = WorkQueue(tmp_path / "q")
+        queue.submit(_spec("global_weight", 2.0, 0))
+        real_glob = Path.glob
+        claims = []
+
+        def glob_then_claim(self, pattern):
+            matches = list(real_glob(self, pattern))
+            if not claims:  # a worker claims between the two counts
+                claims.append(queue.claim("racer"))
+            return iter(matches)
+
+        monkeypatch.setattr(Path, "glob", glob_then_claim)
+        counts = queue_outstanding(queue.root)
+        assert claims[0] is not None
+        assert counts["pending"] + counts["leased"] <= 1, counts
 
     def test_readers_see_whole_generations_only(self, tmp_path):
         queue = WorkQueue(tmp_path / "q")
