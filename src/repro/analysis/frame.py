@@ -64,6 +64,7 @@ import numpy as np
 
 from ..experiment.prune import BASELINE_STRATEGY
 from ..experiment.results import CurvePoint, PruningResult, ResultSet
+from ..utils.jsonio import json_text
 
 __all__ = [
     "FILTER_OPS",
@@ -294,7 +295,7 @@ class ResultFrame:
              if k in PruningResult.__dataclass_fields__}
             for rec in self.to_records()
         ]
-        path.write_text(json.dumps(rows, indent=1, default=float))
+        path.write_text(json_text(rows))
         return path
 
     # -- introspection ---------------------------------------------------
@@ -372,6 +373,8 @@ class ResultFrame:
     def take(self, indices) -> "ResultFrame":
         """Subframe of the given row indices (or a boolean mask)."""
         indices = np.asarray(indices)
+        if not indices.size:  # numpy reads an empty list as float64
+            indices = indices.astype(np.intp)
         return ResultFrame(
             {name: col[indices] for name, col in self._columns.items()}
         )
@@ -1031,12 +1034,18 @@ class ResultFrame:
 
 def _factorize_column(col: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     """``np.unique(col, return_inverse=True)`` with read-only int64 codes,
-    or None for NaN keys and for objects ``np.unique`` cannot sort."""
+    or None for NaN keys and for objects ``np.unique`` cannot sort.
+
+    ``np.unique`` splits every NaN, while the row loop's dict gives each
+    NaN *object* one group: the rows of an object column that hold one
+    NaN object (``json`` parses every ``NaN`` token to one) share it."""
     try:
         found = _factorize_strings(col) if col.dtype.kind == "O" else None
         if found is not None:
             return found
         if col.dtype.kind == "f" and np.isnan(col).any():
+            return None
+        if col.dtype.kind == "O" and any(v != v for v in col):
             return None
         uniq, inv = np.unique(col, return_inverse=True)
     except (TypeError, ValueError):

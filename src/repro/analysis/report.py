@@ -26,7 +26,6 @@ Report contents
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -34,6 +33,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..experiment.results import CurvePoint
+from ..utils.jsonio import json_text
 from .frame import ResultFrame
 
 __all__ = [
@@ -366,7 +366,7 @@ def report_to_json(report: StandardReport) -> Dict[str, Any]:
 def report_json_text(report: StandardReport) -> str:
     """The serialized report document — the one dialect both the ``--json
     PATH`` file and the ``--json -`` stdout stream emit."""
-    return json.dumps(report_to_json(report), indent=1, default=float)
+    return json_text(report_to_json(report))
 
 
 def write_report_json(report: StandardReport, path) -> Path:

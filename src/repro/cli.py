@@ -83,6 +83,7 @@ from .kernels import KERNELS, set_backend
 from .models import MODELS
 from .optim import OPTIMIZERS
 from .pruning import SCHEDULES, STRATEGIES
+from .utils import json_text
 
 __all__ = ["build_parser", "main"]
 
@@ -558,10 +559,8 @@ def _cmd_expand(args) -> int:
     config = SweepConfig.load(args.config)
     specs = config.expand()
     if args.as_json:
-        print(json.dumps(
-            [{"hash": spec_hash(s), **s.to_dict()} for s in specs],
-            indent=1, default=float,
-        ))
+        print(json_text(
+            [{"hash": spec_hash(s), **s.to_dict()} for s in specs]))
     else:
         for spec in specs:
             print(f"{spec_hash(spec)}  {spec_label(spec)}")

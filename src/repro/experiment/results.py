@@ -23,6 +23,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 import numpy as np
 
 from ..registry import warn_deprecated
+from ..utils.jsonio import json_text
 
 __all__ = ["PruningResult", "ResultSet", "CurvePoint", "aggregate_curve"]
 
@@ -134,9 +135,7 @@ class ResultSet:
     def save(self, path) -> None:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
-            json.dumps([r.to_dict() for r in self.results], indent=1, default=float)
-        )
+        path.write_text(json_text([r.to_dict() for r in self.results]))
 
     @classmethod
     def load(cls, path) -> "ResultSet":

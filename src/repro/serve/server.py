@@ -37,10 +37,18 @@ Consistency and caching model
   generation, and carries that generation's ``fingerprint`` so clients
   paginating across requests can detect a generation change.
 * **ETags.**  Every data response carries a strong ``ETag`` derived from
-  the snapshot fingerprint (itself content-addressed over the frame — see
-  :meth:`ResultFrame.fingerprint`) plus the canonicalized request.
-  ``If-None-Match`` answers ``304 Not Modified`` with no body, so polling
-  dashboards cost almost nothing while a source is unchanged.
+  the source name, the snapshot fingerprint (itself content-addressed over
+  the frame — see :meth:`ResultFrame.fingerprint`), its outstanding counts
+  and the canonicalized request — never from the body, so it is known
+  before the body is built.  An ``If-None-Match`` holding it (compared
+  weakly, so ``W/"..."`` matches too) answers ``304 Not Modified`` with no
+  body and nothing built: polling costs almost nothing on every route
+  while a source is unchanged.
+* **Bodies.**  A snapshot memoizes the 200 bodies of ``/report``,
+  ``/summary``, ``/curves`` and ``/pareto`` by ETag (at most
+  :data:`BODY_MEMO_SIZE`), building each once however many requests ask at
+  once.  ``/query`` bodies are built per request: any filter can be sent,
+  and a select can return every row.
 * **Reload.**  With ``reload_interval > 0`` a daemon thread polls each
   path-backed source's mtime signature and atomically swaps in a fresh
   snapshot when it changes — a queue directory still being drained by
@@ -64,7 +72,9 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple,
+)
 from urllib.parse import parse_qsl, urlsplit
 
 from ..analysis.frame import (
@@ -75,8 +85,10 @@ from ..analysis.frame import (
 )
 from ..analysis.query import Query, QueryError, compile_query
 from ..analysis.report import build_report, report_json_text
+from ..utils import BoundedMemo, json_text
 
-__all__ = ["SERVE_SCHEMA_VERSION", "FrameSource", "ResultsServer"]
+__all__ = ["SERVE_SCHEMA_VERSION", "BODY_MEMO_SIZE", "FrameSource",
+           "ResultsServer"]
 
 #: bump when endpoint response layouts change incompatibly (also an ETag
 #: ingredient, so clients never 304-cache across schema changes)
@@ -88,13 +100,19 @@ _Y_METRICS = ("top1", "top5")
 #: largest accepted ``POST /query`` body; queries are small documents
 _MAX_BODY_BYTES = 1 << 20
 
+#: 200 bodies a snapshot memoizes.  A dashboard polls a handful of views
+#: of a source, and an entry can never be stale (it names one generation's
+#: body), so the bound only caps what clients that vary their parameters
+#: can pin: a /report body is ~5 MB at 50k rows.
+BODY_MEMO_SIZE = 16
+
 
 class Snapshot:
     """One immutable loaded generation of a source.
 
     Everything a handler needs is reachable from here, so a request that
     holds a snapshot is isolated from concurrent reloads.  Derived
-    artifacts (the replicated frame, per-``y`` report JSON) are computed
+    artifacts (the replicated frame, the 200 bodies by ETag) are computed
     lazily once and cached — many readers, one build.  Every report-shaped
     endpoint reads the one replicated frame, so a generation replicates
     its baselines once and factorizes each grouping column once.
@@ -125,7 +143,8 @@ class Snapshot:
         self._lock = threading.Lock()
         self._replicated: Optional[ResultFrame] = None
         self._prepared: Optional[ResultFrame] = None
-        self._reports: Dict[str, str] = {}
+        #: 200 bodies by ETag (see :meth:`ResultsServer.dispatch`)
+        self.bodies = BoundedMemo(BODY_MEMO_SIZE)
 
     def _replicated_frame(self) -> ResultFrame:
         # caller holds self._lock
@@ -143,17 +162,12 @@ class Snapshot:
             return self._prepared
 
     def report_text(self, y: str) -> str:
-        """The §6 report JSON for this generation (built once per ``y``
-        from the snapshot's own rows); byte-identical to ``python -m repro
-        report --json -``."""
+        """The §6 report JSON for this generation, from the snapshot's own
+        rows; byte-identical to ``python -m repro report --json -``."""
         with self._lock:
-            if y not in self._reports:
-                report = build_report(
-                    self._replicated_frame(), y=y,
-                    outstanding=self.outstanding,
-                )
-                self._reports[y] = report_json_text(report)
-            return self._reports[y]
+            replicated = self._replicated_frame()
+        return report_json_text(build_report(
+            replicated, y=y, outstanding=self.outstanding))
 
 
 class FrameSource:
@@ -379,9 +393,25 @@ class _Response:
         self.etag = etag
 
 
-def _json_text(payload: Any) -> str:
-    # the repo's JSON dialect: indent 1, non-finite floats as bare tokens
-    return json.dumps(payload, indent=1, default=float)
+def _error(status: int, message: str) -> _Response:
+    return _Response(status, json_text({"error": message, "status": status}))
+
+
+class _Plan(NamedTuple):
+    """A validated data request: its ETag, how to build its body, and
+    whether the snapshot memoizes that body."""
+
+    snapshot: Snapshot
+    etag: str
+    build: Callable[[], str]
+    memo: bool = True
+
+
+def _entity_tags(if_none_match: Optional[str]) -> List[str]:
+    """The tags of an ``If-None-Match`` header, ready for the weak
+    comparison RFC 9110 §13.1.2 asks of it: ``W/`` prefixes dropped."""
+    tags = [tag.strip() for tag in (if_none_match or "").split(",")]
+    return [tag[2:] if tag.startswith("W/") else tag for tag in tags]
 
 
 def _int_param(params: Dict[str, str], key: str, minimum: int) -> Optional[int]:
@@ -543,12 +573,14 @@ class ResultsServer:
                      f"expected a subset of {sorted(allowed)}"
             )
 
-    def _etag(self, snapshot: Snapshot, route: str, canonical: str) -> str:
-        material = "|".join((
-            str(SERVE_SCHEMA_VERSION), snapshot.fingerprint,
-            json.dumps(snapshot.outstanding, sort_keys=True),
-            route, canonical,
-        ))
+    def _etag(self, source: FrameSource, snapshot: Snapshot, route: str,
+              canonical: Any) -> str:
+        """A strong tag naming exactly one body: the source and generation
+        content it is built from, the route and the canonical request."""
+        material = json.dumps([
+            SERVE_SCHEMA_VERSION, source.name, snapshot.fingerprint,
+            snapshot.outstanding, route, canonical,
+        ], sort_keys=True)
         return '"' + hashlib.sha256(material.encode()).hexdigest()[:32] + '"'
 
     def _envelope(self, source: FrameSource, snapshot: Snapshot,
@@ -561,46 +593,54 @@ class ResultsServer:
         out.update(payload)
         return out
 
-    def dispatch(self, method: str, route: str,
-                 params: Dict[str, str], body: bytes) -> _Response:
-        """Route one request to its endpoint → (status, JSON text, ETag)."""
+    def dispatch(self, method: str, route: str, params: Dict[str, str],
+                 body: bytes, if_none_match: Optional[str] = None
+                 ) -> _Response:
+        """Route one request to its endpoint → (status, JSON text, ETag).
+
+        A data request is validated and its ETag computed before anything
+        is built.  An ``If-None-Match`` tag equal to it answers 304 with
+        nothing built; ``*`` answers 304 once the body could be built.
+        """
         try:
             if route == "/healthz":
                 return self._get_only(method, self._handle_healthz, params)
             if route == "/frames":
                 return self._get_only(method, self._handle_frames, params)
-            if route == "/report":
-                return self._get_only(method, self._handle_report, params)
-            if route == "/curves":
-                return self._get_only(method, self._handle_curves, params)
-            if route == "/pareto":
-                return self._get_only(method, self._handle_pareto, params)
-            if route == "/summary":
-                return self._get_only(method, self._handle_summary, params)
-            if route == "/query":
-                return self._handle_query(method, params, body)
             if route == "/fleet":
                 return self._get_only(method, self._handle_fleet, params)
-            raise _HTTPError(
-                404,
-                f"unknown endpoint {route!r}; try /healthz /frames /report "
-                "/curves /pareto /summary /query /fleet",
-            )
+            planners = {"/report": self._plan_report,
+                        "/curves": self._plan_curves,
+                        "/pareto": self._plan_pareto,
+                        "/summary": self._plan_summary}
+            if route == "/query":
+                plan = self._plan_query(method, params, body)
+            elif route in planners:
+                plan = self._get_only(method, planners[route], params)
+            else:
+                raise _HTTPError(
+                    404,
+                    f"unknown endpoint {route!r}; try /healthz /frames "
+                    "/report /curves /pareto /summary /query /fleet",
+                )
+            tags = _entity_tags(if_none_match)
+            if plan.etag not in tags:
+                text = plan.snapshot.bodies.get(plan.etag, plan.build) \
+                    if plan.memo else plan.build()
+                if "*" not in tags:
+                    return _Response(200, text, plan.etag)
+            return _Response(304, "", plan.etag)
         except QueryError as exc:
-            return _Response(400, _json_text({"error": str(exc), "status": 400}))
+            return _error(400, str(exc))
         except KeyError as exc:
             # a frame-shape mismatch (e.g. /report on a frame without the
             # sweep columns) is the client's request, not a server bug
             detail = exc.args[0] if exc.args else str(exc)
-            return _Response(400, _json_text(
-                {"error": f"cannot answer against this frame: {detail}",
-                 "status": 400}))
+            return _error(400, f"cannot answer against this frame: {detail}")
         except _HTTPError as exc:
-            return _Response(exc.status,
-                             _json_text({"error": str(exc),
-                                         "status": exc.status}))
+            return _error(exc.status, str(exc))
 
-    def _get_only(self, method: str, handler, params) -> _Response:
+    def _get_only(self, method: str, handler, params):
         if method not in ("GET", "HEAD"):
             raise _HTTPError(405, "method not allowed (use GET)")
         return handler(params)
@@ -617,7 +657,7 @@ class ResultsServer:
             "frames": [s.describe() for s in self.sources.values()],
             "metrics": self.metrics.to_dict(),
         }
-        return _Response(200, _json_text(payload))
+        return _Response(200, json_text(payload))
 
     def _handle_fleet(self, params: Dict[str, str]) -> _Response:
         """Live fleet health for a queue-dir source: queue stats, the
@@ -680,7 +720,7 @@ class ResultsServer:
         if params.get("audit", "") not in ("", "0", "false", "no"):
             audit, _ = verify_fleet(source.path, cache_dir=source.cache_dir)
             payload["audit"] = audit.to_dict()
-        return _Response(200, _json_text(payload))
+        return _Response(200, json_text(payload))
 
     def _handle_frames(self, params: Dict[str, str]) -> _Response:
         self._check_params(params, ())
@@ -689,9 +729,16 @@ class ResultsServer:
             "frames": [s.describe(columns=True)
                        for s in self.sources.values()],
         }
-        return _Response(200, _json_text(payload))
+        return _Response(200, json_text(payload))
 
-    def _handle_report(self, params: Dict[str, str]) -> _Response:
+    @staticmethod
+    def _check_columns(frame: ResultFrame, names: Sequence[str]) -> None:
+        for name in names:
+            if len(frame) and name not in frame:
+                raise _HTTPError(400, f"unknown column {name!r}; "
+                                      f"available: {frame.columns}")
+
+    def _plan_report(self, params: Dict[str, str]) -> _Plan:
         self._check_params(params, ("frame", "y"))
         y = params.get("y", "top1")
         if y not in _Y_METRICS:
@@ -699,36 +746,38 @@ class ResultsServer:
                                   f"got {y!r}")
         source = self._source(params.get("frame"))
         snapshot = source.snapshot()
-        etag = self._etag(snapshot, "/report", f"y={y}")
-        return _Response(200, snapshot.report_text(y), etag)
+        return _Plan(snapshot, self._etag(source, snapshot, "/report",
+                                          {"y": y}),
+                     lambda: snapshot.report_text(y))
 
-    def _handle_curves(self, params: Dict[str, str]) -> _Response:
+    def _plan_curves(self, params: Dict[str, str]) -> _Plan:
         self._check_params(params, ("frame", "group", "x", "y"))
         source = self._source(params.get("frame"))
         snapshot = source.snapshot()
         group = params.get("group", "strategy")
         x = params.get("x", "compression")
         y = params.get("y", "top1")
-        prepared = snapshot.prepared()
-        for name in (group, x, y):
-            if len(prepared) and name not in prepared:
-                raise _HTTPError(400, f"unknown column {name!r}; "
-                                      f"available: {prepared.columns}")
-        curves = prepared.tradeoff_curves(group=group, x=x, y=y)
-        payload = self._envelope(source, snapshot, {
-            "group": group, "x": x, "y": y,
-            "curves": {
-                str(key): [
-                    {"x": p.x, "mean": p.mean, "std": p.std, "n": p.n}
-                    for p in points
-                ]
-                for key, points in curves.items()
-            },
-        })
-        etag = self._etag(snapshot, "/curves", f"group={group}|x={x}|y={y}")
-        return _Response(200, _json_text(payload), etag)
 
-    def _handle_pareto(self, params: Dict[str, str]) -> _Response:
+        def build() -> str:
+            prepared = snapshot.prepared()
+            self._check_columns(prepared, (group, x, y))
+            curves = prepared.tradeoff_curves(group=group, x=x, y=y)
+            return json_text(self._envelope(source, snapshot, {
+                "group": group, "x": x, "y": y,
+                "curves": {
+                    str(key): [
+                        {"x": p.x, "mean": p.mean, "std": p.std, "n": p.n}
+                        for p in points
+                    ]
+                    for key, points in curves.items()
+                },
+            }))
+
+        canonical = {"group": group, "x": x, "y": y}
+        return _Plan(snapshot,
+                     self._etag(source, snapshot, "/curves", canonical), build)
+
+    def _plan_pareto(self, params: Dict[str, str]) -> _Plan:
         self._check_params(params, ("frame", "x", "y", "limit", "offset"))
         source = self._source(params.get("frame"))
         snapshot = source.snapshot()
@@ -736,23 +785,21 @@ class ResultsServer:
         y = params.get("y", "top1")
         limit = _int_param(params, "limit", 1)
         offset = _int_param(params, "offset", 0) or 0
-        prepared = snapshot.prepared()
-        for name in (x, y):
-            if len(prepared) and name not in prepared:
-                raise _HTTPError(400, f"unknown column {name!r}; "
-                                      f"available: {prepared.columns}")
-        frontier = prepared.pareto_frontier(x=x, y=y) if len(prepared) \
-            else prepared
-        page = Query(limit=limit, offset=offset).apply(frontier)
-        payload = self._envelope(source, snapshot,
-                                 {"x": x, "y": y, **page})
-        etag = self._etag(
-            snapshot, "/pareto",
-            f"x={x}|y={y}|limit={limit}|offset={offset}",
-        )
-        return _Response(200, _json_text(payload), etag)
 
-    def _handle_summary(self, params: Dict[str, str]) -> _Response:
+        def build() -> str:
+            prepared = snapshot.prepared()
+            self._check_columns(prepared, (x, y))
+            frontier = prepared.pareto_frontier(x=x, y=y) if len(prepared) \
+                else prepared
+            page = Query(limit=limit, offset=offset).apply(frontier)
+            return json_text(self._envelope(source, snapshot,
+                                            {"x": x, "y": y, **page}))
+
+        canonical = {"x": x, "y": y, "limit": limit, "offset": offset}
+        return _Plan(snapshot,
+                     self._etag(source, snapshot, "/pareto", canonical), build)
+
+    def _plan_summary(self, params: Dict[str, str]) -> _Plan:
         self._check_params(
             params, ("frame", "by", "values", "stats", "limit", "offset")
         )
@@ -769,13 +816,15 @@ class ResultsServer:
         query = compile_query({"aggregate": aggregate,
                                **({"limit": limit} if limit else {}),
                                "offset": offset})
-        page = query.apply(snapshot.prepared())
-        payload = self._envelope(source, snapshot, page)
-        etag = self._etag(snapshot, "/summary", query.canonical())
-        return _Response(200, _json_text(payload), etag)
+        return _Plan(
+            snapshot,
+            self._etag(source, snapshot, "/summary", query.canonical()),
+            lambda: json_text(self._envelope(
+                source, snapshot, query.apply(snapshot.prepared()))),
+        )
 
-    def _handle_query(self, method: str, params: Dict[str, str],
-                      body: bytes) -> _Response:
+    def _plan_query(self, method: str, params: Dict[str, str],
+                    body: bytes) -> _Plan:
         if method in ("GET", "HEAD"):
             self._check_params(params, ("frame", "q"))
             if "q" not in params:
@@ -796,25 +845,32 @@ class ResultsServer:
         query = compile_query(spec)
         source = self._source(query.frame or params.get("frame"))
         snapshot = source.snapshot()
-        result = None
-        if snapshot.store is not None:
-            try:
-                # zone-map pushdown: skip segments the filter rules out and
-                # load only referenced columns.  QueryError propagates (it
-                # is identical on both paths by construction); a store torn
-                # by a racing compact falls back to the snapshot frame.
-                result = query.apply_store(
-                    snapshot.store, manifest=snapshot.store_manifest
-                )
-            except QueryError:
-                raise
-            except (OSError, RuntimeError):
-                result = None
-        if result is None:
-            result = query.apply(snapshot.frame)
-        payload = self._envelope(source, snapshot, result)
-        etag = self._etag(snapshot, "/query", query.canonical())
-        return _Response(200, _json_text(payload), etag)
+
+        def build() -> str:
+            result = None
+            if snapshot.store is not None:
+                try:
+                    # zone-map pushdown: skip segments the filter rules out
+                    # and load only referenced columns.  QueryError
+                    # propagates (it is identical on both paths by
+                    # construction); a store torn by a racing compact falls
+                    # back to the snapshot frame.
+                    result = query.apply_store(
+                        snapshot.store, manifest=snapshot.store_manifest
+                    )
+                except QueryError:
+                    raise
+                except (OSError, RuntimeError):
+                    result = None
+            if result is None:
+                result = query.apply(snapshot.frame)
+            return json_text(self._envelope(source, snapshot, result))
+
+        # not memoized: any filter can be sent, and a select can return
+        # every row
+        return _Plan(snapshot,
+                     self._etag(source, snapshot, "/query", query.canonical()),
+                     build, memo=False)
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -852,18 +908,14 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             params = dict(parse_qsl(split.query, keep_blank_values=True))
             body = self._read_body()
-            response = app.dispatch(method, route, params, body)
+            response = app.dispatch(method, route, params, body,
+                                    self.headers.get("If-None-Match"))
         except _HTTPError as exc:
-            response = _Response(
-                exc.status,
-                _json_text({"error": str(exc), "status": exc.status}),
-            )
+            response = _error(exc.status, str(exc))
         except Exception as exc:  # a bug must not kill the thread silently
-            response = _Response(
-                500, _json_text({"error": f"internal error: {exc}",
-                                 "status": 500}),
-            )
-        status, payload = self._conditional(response)
+            response = _error(500, f"internal error: {exc}")
+        status = response.status
+        payload = response.text.encode("utf-8")
         # counted before a byte leaves, so a client that has read the
         # response finds it in /healthz
         app.metrics.record(route, status, time.perf_counter() - started)
@@ -876,16 +928,6 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         if method != "HEAD" and status != 304:
             self.wfile.write(payload)
-
-    def _conditional(self, response: _Response) -> Tuple[int, bytes]:
-        """The status and body to send: 304 without a body when the
-        client's ``If-None-Match`` holds the response's ETag."""
-        if response.etag is not None and response.status == 200:
-            if_none_match = self.headers.get("If-None-Match", "")
-            tags = [t.strip() for t in if_none_match.split(",")]
-            if response.etag in tags or "*" in tags:
-                return 304, b""
-        return response.status, response.text.encode("utf-8")
 
     def log_message(self, format: str, *args) -> None:
         log = self.server_app.log if self.server_app else None

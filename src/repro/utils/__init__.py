@@ -6,6 +6,7 @@ from .cache import artifacts_dir, atomic_write_text, atomic_writer
 from .jsonio import (
     NONFINITE_KEY,
     canonical_json,
+    json_text,
     restore_nonfinite,
     sanitize_nonfinite,
 )
@@ -19,6 +20,7 @@ __all__ = [
     "atomic_write_text",
     "NONFINITE_KEY",
     "canonical_json",
+    "json_text",
     "restore_nonfinite",
     "sanitize_nonfinite",
     "MEMO_SIZE",

@@ -11,7 +11,11 @@ groups and int, float and object keys:
 * the Pareto sweep ≡ the pairwise dominance mask;
 * ``Query.apply_store`` ≡ ``Query.apply`` and ``build_report_from_store``
   ≡ ``build_report(store.to_frame())`` over stores with zone maps,
-  without them (legacy) and backfilled, with superseded keys.
+  without them (legacy) and backfilled, with superseded keys;
+* ``filter`` ≡ ``perf.suite._rowloop_filter``, ``group_by`` ≡
+  ``_group_by_rows`` and ``join_baseline`` ≡ ``_join_baseline_rows``, on
+  key columns of every kind, NaN and mixed types included, and keys with
+  no control row.
 """
 
 import json
@@ -514,3 +518,124 @@ class TestStoreContracts:
                 store.to_frame(), y=y, outstanding=outstanding))
             assert report_json_text(build_report_from_store(
                 store, y=y, outstanding=outstanding)) == expected
+
+
+#: key pools of every kind the row loops see: NaN (its own group in the
+#: row loop, so no factorization), signed zeros, and mixed-type objects
+ROW_KEYS = {
+    "int": st.integers(-2, 2),
+    "float": st.sampled_from([0.0, -0.0, 1.0, 2.5, NAN, INF]),
+    "str": st.sampled_from(["a", "b", ""]),
+    "mixed": st.sampled_from(["a", 1, 2.5, None, NAN, True, -0.0]),
+}
+#: compressions: ≤ 1 is a control row, NaN never is
+COMPRESSIONS = st.sampled_from([0.5, 1.0, 1.0, 2.0, 4.0, NAN])
+JOIN_KEYS = ("model", "dataset", "seed")
+
+
+@st.composite
+def rowloop_frames(draw, max_rows=18):
+    """Sweep-shaped frames whose join keys are of any kind; some keys have
+    no control row (or no row at compression ≤ 1 at all)."""
+    n = draw(st.integers(0, max_rows))
+    cols = {}
+    for name in JOIN_KEYS:
+        kind = draw(st.sampled_from(sorted(ROW_KEYS)))
+        values = draw(st.lists(ROW_KEYS[kind], min_size=n, max_size=n))
+        cols[name] = column("object" if kind == "mixed" else kind, values)
+    cols["compression"] = column(
+        "float", draw(st.lists(COMPRESSIONS, min_size=n, max_size=n)))
+    for name in ("top1", "top5"):
+        cols[name] = column(
+            "float", draw(st.lists(VALUES, min_size=n, max_size=n)))
+    return ResultFrame(cols)
+
+
+def same_outcome(fast, reference):
+    """Run both; they must raise the same exception type or both return."""
+    try:
+        expected = reference()
+    except Exception as exc:  # the reference's failure is the contract
+        with pytest.raises(type(exc)):
+            fast()
+        return None, None
+    return fast(), expected
+
+
+class TestRowLoopTwins:
+    """``filter``, ``group_by`` and ``join_baseline`` ≡ their per-row
+    references, which ``/query`` and ``/summary`` answer through."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(frame=rowloop_frames(), data=st.data())
+    def test_filter_matches_rowloop(self, frame, data):
+        from repro.perf.suite import _rowloop_filter
+
+        names = data.draw(st.lists(
+            st.sampled_from(JOIN_KEYS + ("compression",)),
+            min_size=1, max_size=3, unique=True))
+        pool = st.one_of(*ROW_KEYS.values(), COMPRESSIONS)
+        conditions = {
+            name: data.draw(st.one_of(pool, st.lists(pool, max_size=3)))
+            for name in names
+        }
+        got, expected = same_outcome(
+            lambda: frame.filter(**conditions),
+            lambda: _rowloop_filter(frame, **conditions))
+        if expected is not None:
+            assert_same_frame(got, expected)
+
+    @settings(max_examples=150, deadline=None)
+    @given(frame=rowloop_frames(), data=st.data(), sort=st.booleans())
+    def test_group_by_matches_rowloop(self, frame, data, sort):
+        keys = data.draw(st.sampled_from(
+            ["model", "seed", "compression", ["model", "seed"],
+             ["seed", "dataset", "model"], ["compression", "model"]]))
+        single = isinstance(keys, str)
+        names = (keys,) if single else tuple(keys)
+        got, expected = same_outcome(
+            lambda: frame.group_by(keys, sort=sort),
+            lambda: frame._group_by_rows(names, single=single, sort=sort))
+        if expected is None:
+            return
+        assert [repr(k) for k, _ in got] == [repr(k) for k, _ in expected]
+        assert [type(k) for k, _ in got] == [type(k) for k, _ in expected]
+        for (_, a), (_, b) in zip(got, expected):
+            assert_same_frame(a, b)
+
+    @settings(max_examples=150, deadline=None)
+    @given(frame=rowloop_frames(), data=st.data())
+    def test_join_baseline_matches_rowloop(self, frame, data):
+        on = tuple(data.draw(st.sampled_from(
+            [JOIN_KEYS, ("model",), ("seed", "model")])))
+        got, expected = same_outcome(
+            lambda: frame.join_baseline(on),
+            lambda: frame._join_baseline_rows(on))
+        if expected is not None:
+            assert_same_frame(got, expected)
+
+    def test_one_nan_object_is_one_key_like_the_row_loop(self):
+        """``json`` parses every ``NaN`` token to one float object; a dict
+        keeps the rows that hold it together, ``np.unique`` would not."""
+        frame = ResultFrame({
+            "model": column("object", [NAN, NAN, float("nan"), 1.0]),
+            "dataset": column("str", ["d"] * 4),
+            "seed": column("int", [0] * 4),
+            "compression": column("float", [1.0, 2.0, 2.0, 1.0]),
+            "top1": column("float", [0.9, 0.8, 0.7, 0.6]),
+            "top5": column("float", [1.0, 0.9, 0.8, 0.7]),
+        })
+        got = frame.group_by("model", sort=False)
+        expected = frame._group_by_rows(("model",), single=True, sort=False)
+        assert [len(sub) for _, sub in got] == [2, 1, 1]
+        assert [len(sub) for _, sub in expected] == [2, 1, 1]
+        joined = frame.join_baseline()
+        assert joined["control_top1"][1] == 0.9  # the NaN row's control
+        assert_same_frame(joined, frame._join_baseline_rows(JOIN_KEYS))
+
+    def test_a_filter_that_matches_nothing(self):
+        from repro.perf.suite import _rowloop_filter
+
+        frame = ResultFrame({"k": column("str", ["a", "b"])})
+        assert len(frame.take([])) == 0
+        assert_same_frame(frame.filter(k="z"), _rowloop_filter(frame, k="z"))

@@ -17,6 +17,7 @@ import sys
 import threading
 import time
 from pathlib import Path
+from urllib.parse import quote
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from repro.analysis import (
     load_frame,
     queue_outstanding,
     report_json_text,
+    report_to_json,
     run_query,
 )
 from repro.cli import main
@@ -556,6 +558,235 @@ class TestFleetEndpoint:
         response, payload = _request(server, "GET", "/nope")
         assert response.status == 404
         assert "/fleet" in json.loads(payload)["error"]
+
+
+# ---------------------------------------------------------------------------
+# conditional requests and the per-snapshot body memo
+# ---------------------------------------------------------------------------
+
+#: one request per data route; every answer carries an ETag
+DATA_PATHS = ("/report", "/summary?by=strategy", "/curves", "/pareto?limit=2",
+              "/query?q=" + quote(json.dumps({"group_by": "strategy"})))
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Calls of the functions that build a data route's body."""
+    from repro.analysis.query import Query
+    from repro.serve import server as server_mod
+
+    counts = {}
+
+    def count(owner, name):
+        original = getattr(owner, name)
+        counts[name] = 0
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    count(server_mod, "build_report")
+    count(Query, "apply")
+    count(ResultFrame, "tradeoff_curves")
+    count(ResultFrame, "pareto_frontier")
+    return counts
+
+
+@pytest.fixture
+def served():
+    """A fresh server (cold memo) over one in-memory source."""
+    source = FrameSource.from_frame("sweep", ResultFrame.from_results(make_rows()))
+    srv = ResultsServer([source])
+    srv.start()
+    yield srv, source
+    srv.stop()
+
+
+class TestConditionalRequests:
+    def test_matching_tag_builds_nothing(self, served, builds):
+        srv, source = served
+        etags = {path: _request(srv, "GET", path)[0].getheader("ETag")
+                 for path in DATA_PATHS}
+        source.load()  # the same rows again: the same tags, a cold memo
+        before = dict(builds)
+        for path, etag in etags.items():
+            for header in (etag, f'"zzz", {etag}'):
+                response, payload = _request(
+                    srv, "GET", path, headers={"If-None-Match": header})
+                assert response.status == 304 and payload == b"", path
+                assert response.getheader("ETag") == etag
+        assert builds == before
+        assert source.snapshot()._prepared is None  # not even prepared
+
+    def test_weak_tags_compare_weakly(self, served):
+        srv, _ = served
+        for path in DATA_PATHS:
+            etag = _request(srv, "GET", path)[0].getheader("ETag")
+            response, payload = _request(
+                srv, "GET", path, headers={"If-None-Match": "W/" + etag})
+            assert response.status == 304 and payload == b"", path
+
+    def test_star_on_an_invalid_request_still_gets_its_error(self, served):
+        srv, _ = served
+        cases = [
+            ("/report?y=loss", 400), ("/report?frame=missing", 404),
+            ("/summary?by=bogus", 400), ("/summary?limit=zero", 400),
+            ("/curves?group=bogus", 400), ("/pareto?x=bogus", 400),
+            ("/query?q=notjson", 400),
+            ("/query?q=" + quote(json.dumps({"filter": {"nope": 1}})), 400),
+        ]
+        for path, status in cases:
+            response, payload = _request(
+                srv, "GET", path, headers={"If-None-Match": "*"})
+            assert response.status == status, (path, payload[:200])
+            assert json.loads(payload)["status"] == status
+        for path in DATA_PATHS:  # a body exists: * matches it
+            response, payload = _request(
+                srv, "GET", path, headers={"If-None-Match": "*"})
+            assert response.status == 304 and payload == b"", path
+
+    def test_sources_serving_one_frame_get_their_own_tags(self):
+        """Two sources over the same rows answer with different bodies
+        (the envelope names the source), so their tags must differ."""
+        frame = ResultFrame.from_results(make_rows())
+        srv = ResultsServer([FrameSource.from_frame("a", frame),
+                             FrameSource.from_frame("b", frame)])
+        srv.start()
+        try:
+            for path in DATA_PATHS:
+                sep = "&" if "?" in path else "?"
+                answers = {}
+                for name in ("a", "b"):
+                    response, payload = _request(
+                        srv, "GET", f"{path}{sep}frame={name}")
+                    assert response.status == 200, payload[:200]
+                    answers[name] = (response.getheader("ETag"), payload)
+                assert answers["a"][0] != answers["b"][0], path
+                response, payload = _request(
+                    srv, "GET", f"{path}{sep}frame=b",
+                    headers={"If-None-Match": answers["a"][0]})
+                assert response.status == 200 and payload == answers["b"][1]
+        finally:
+            srv.stop()
+
+    def test_bodies_are_the_dialect_of_the_in_process_answers(self, served):
+        srv, _ = served
+        frame = ResultFrame.from_results(make_rows())
+        prepared = frame.replicate_baselines().derived().ok()
+        envelope = {"frame": "sweep", "fingerprint": frame.fingerprint(),
+                    "generation": 1}
+        curves = prepared.tradeoff_curves(group="strategy", x="compression",
+                                          y="top1")
+        frontier = prepared.pareto_frontier(x="compression", y="top1")
+        expected = {
+            "/report": report_to_json(build_report(frame)),
+            "/summary?by=strategy": {**envelope, **compile_query(
+                {"aggregate": {"by": ["strategy"], "stats": ["mean", "std"]}}
+            ).apply(prepared)},
+            "/curves": {**envelope, "group": "strategy", "x": "compression",
+                        "y": "top1", "curves": {
+                            str(k): [{"x": p.x, "mean": p.mean, "std": p.std,
+                                      "n": p.n} for p in points]
+                            for k, points in curves.items()}},
+            "/pareto?limit=2": {**envelope, "x": "compression", "y": "top1",
+                                **compile_query({"limit": 2}).apply(frontier)},
+            DATA_PATHS[-1]: {**envelope,
+                             **run_query(frame, {"group_by": "strategy"})},
+        }
+        assert set(expected) == set(DATA_PATHS)
+        for path, doc in expected.items():
+            for _ in range(2):  # built, then from the memo
+                response, payload = _request(srv, "GET", path)
+                assert response.status == 200
+                assert payload == json.dumps(
+                    doc, indent=1, default=float).encode(), path
+
+
+class TestBodyMemo:
+    #: the builder one fresh body of each memoized route calls once
+    BUILDERS = {"/report": "build_report", "/summary": "apply",
+                "/curves": "tradeoff_curves", "/pareto": "pareto_frontier"}
+
+    def test_identical_gets_build_once_and_a_reload_builds_again(
+            self, tmp_path, builds):
+        path = tmp_path / "results.json"
+        ResultSet(make_rows()).save(path)
+        source = FrameSource("sweep", path)
+        srv = ResultsServer([source])
+        srv.start()
+        try:
+            for generation in (1, 2):
+                for route, builder in self.BUILDERS.items():
+                    before = builds[builder]
+                    bodies = {_request(srv, "GET", route)[1]
+                              for _ in range(4)}
+                    assert len(bodies) == 1
+                    assert builds[builder] == before + 1, (route, generation)
+                before = builds["apply"]
+                for _ in range(3):  # /query is built per request
+                    _request(srv, "GET", DATA_PATHS[-1])
+                assert builds["apply"] == before + 3
+                ResultSet(make_rows(seeds=(0, 1, 2))).save(path)
+                assert source.maybe_reload()
+        finally:
+            srv.stop()
+
+    def test_concurrent_cold_reports_build_once(self, served, monkeypatch):
+        from repro.serve import server as server_mod
+
+        srv, _ = served
+        calls = []
+        original = server_mod.build_report
+
+        def slow_build(*args, **kwargs):
+            calls.append(threading.get_ident())
+            time.sleep(0.05)  # every other request arrives mid-build
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(server_mod, "build_report", slow_build)
+        start = threading.Barrier(8)
+        answers, errors = [], []
+
+        def client():
+            try:
+                start.wait(timeout=10)
+                response, payload = _request(srv, "GET", "/report")
+                answers.append((response.status, payload))
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=client) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(calls) == 1
+        assert len(answers) == 8 and len(set(answers)) == 1
+        assert answers[0][0] == 200
+
+    def test_memo_holds_at_most_its_bound(self, served, builds):
+        from repro.serve.server import BODY_MEMO_SIZE
+
+        srv, source = served
+        paths = [f"/pareto?limit={k}" for k in range(1, BODY_MEMO_SIZE + 6)]
+        for path in paths:
+            assert _request(srv, "GET", path)[0].status == 200
+            assert len(source.snapshot().bodies) <= BODY_MEMO_SIZE
+        assert len(source.snapshot().bodies) == BODY_MEMO_SIZE
+        before = builds["pareto_frontier"]
+        _request(srv, "GET", paths[-1])  # recent: still memoized
+        assert builds["pareto_frontier"] == before
+        _request(srv, "GET", paths[0])  # least recent: evicted, rebuilt
+        assert builds["pareto_frontier"] == before + 1
 
 
 # ---------------------------------------------------------------------------
