@@ -182,7 +182,7 @@ def build_report_from_store(
     report reads.
 
     The projection keeps the load to the report's dozen-odd columns (no
-    other column file is opened or decoded); the output is byte-identical
+    other column is read or decoded); the output is byte-identical
     to the unprojected build.  ``manifest`` pins a previously read
     manifest (see ``ColumnStore.to_frame``).
     """

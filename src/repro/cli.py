@@ -742,7 +742,8 @@ def _cmd_report(args) -> int:
     if args.json_out == "-":
         from .analysis import report_json_text
 
-        print(report_json_text(report))
+        # the bytes of the --json PATH file and of the served /report
+        sys.stdout.write(report_json_text(report))
     else:
         print(render_report(report, width=args.width))
     if args.csv:
@@ -1121,7 +1122,7 @@ def _cmd_store(args) -> int:
                   f"{result['segments_after']}")
             print(f"rows     : {result['rows_before']} -> "
                   f"{result['rows_after']}")
-            print(f"swept    : {result['swept_dirs']} stray dir(s)")
+            print(f"swept    : {result['swept']} unreferenced segment(s)")
             return 0
         if args.store_command == "analyze":
             result = store.analyze()

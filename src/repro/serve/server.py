@@ -574,14 +574,19 @@ class ResultsServer:
             )
 
     def _etag(self, source: FrameSource, snapshot: Snapshot, route: str,
-              canonical: Any) -> str:
+              canonical: Any, enveloped: bool = True) -> str:
         """A strong tag naming exactly one body: the source and generation
-        content it is built from, the route and the canonical request."""
-        material = json.dumps([
+        content it is built from, the route and the canonical request.
+        An ``enveloped`` body names its snapshot's generation, so a reload
+        of the same rows changes its tag; ``/report``'s body does not."""
+        material = [
             SERVE_SCHEMA_VERSION, source.name, snapshot.fingerprint,
             snapshot.outstanding, route, canonical,
-        ], sort_keys=True)
-        return '"' + hashlib.sha256(material.encode()).hexdigest()[:32] + '"'
+        ]
+        if enveloped:
+            material.append(snapshot.generation)
+        text = json.dumps(material, sort_keys=True)
+        return '"' + hashlib.sha256(text.encode()).hexdigest()[:32] + '"'
 
     def _envelope(self, source: FrameSource, snapshot: Snapshot,
                   payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -747,7 +752,7 @@ class ResultsServer:
         source = self._source(params.get("frame"))
         snapshot = source.snapshot()
         return _Plan(snapshot, self._etag(source, snapshot, "/report",
-                                          {"y": y}),
+                                          {"y": y}, enveloped=False),
                      lambda: snapshot.report_text(y))
 
     def _plan_curves(self, params: Dict[str, str]) -> _Plan:

@@ -5,11 +5,11 @@ the *interchange* format — human-auditable, atomic, concurrency-safe — but
 re-parsing 10⁶ small JSON files to answer one report query is the wrong
 cost model at corpus scale (the paper's central complaint, applied to our
 own tooling).  :class:`ColumnStore` is the *serving* format: results land
-once as ``.npy`` column segments under a fingerprinted JSON manifest, and
-``to_frame()`` memory-maps them straight into
-:class:`~repro.analysis.frame.ResultFrame` columns with no per-row
-parsing.  See docs/FORMATS.md for the on-disk layout and
-docs/ARCHITECTURE.md for where the store sits in the pipeline.
+once as segment files (one file per append: a JSON header, then each
+column's bytes) under a fingerprinted JSON manifest, and ``to_frame()``
+memory-maps them straight into :class:`~repro.analysis.frame.ResultFrame`
+columns with no per-row parsing.  See docs/FORMATS.md for the on-disk
+layout and docs/ARCHITECTURE.md for where the store sits in the pipeline.
 """
 
 from .columnar import (

@@ -8,19 +8,42 @@ On-disk layout
       manifest.json               atomic: the store IS this file's contents
       .lock                       writer mutex (O_EXCL create; advisory)
       segments/
-        seg-00000003-9aa0c3f1/    seal order + first 8 hex of fingerprint
-          top1.npy                float64/int64 columns: raw npy, mmap-read
-          strategy.codes.npy      object columns: int32 codes into ...
-          strategy.values.json    ... a deduplicated strict-JSON value pool
-          keys.npy                optional <U16 spec hashes (row identity)
-        .tmp-<pid>-<seq>/         in-flight write; never read, swept by compact
+        seg-00000003-9aa0c3f1     one file: seal order + first 8 hex of
+                                  the sha256 of its bytes
+        .tmp-<pid>-<seq>          in-flight write; never read, swept by compact
 
-Writers serialize on ``.lock`` and seal a segment with ``rename`` before
-rewriting the manifest (atomic temp + ``os.replace``), so readers — which
-take no lock — either see the old manifest or the new one, never a torn
-segment: a crash mid-append leaves an unreferenced directory that
-``compact`` sweeps.  Readers trust only the manifest; anything on disk it
-does not name does not exist.
+A segment file is a 16-byte preamble (the magic ``REPROSG2`` and the
+header's byte length as a little-endian uint64), a compact strict-JSON
+header, then the data region, which starts at the next multiple of 8::
+
+    {"rows": 2,
+     "columns": [{"name": "top1", "kind": "float64", "dtype": "<f8",
+                  "offset": 0, "length": 16},
+                 {"name": "strategy", "kind": "object", "dtype": "<i4",
+                  "offset": 16, "length": 8,
+                  "pool_offset": 24, "pool_length": 17}],
+     "keys": {"dtype": "<U16", "offset": 48, "length": 128}}
+
+Offsets count from the start of the data region and every range starts
+8-byte aligned.  A numeric column is its raw little-endian values; an
+object column is int32 codes into a deduplicated strict-JSON value pool;
+``keys`` (null when unkeyed) holds the rows' spec hashes.  A reader maps
+the file once: numeric columns and keys are read-only views of that map,
+and an object column's pool is parsed only when the column is read.
+
+Schema 1 stores kept each segment as a directory of ``.npy`` files (one
+per numeric column, ``<name>.codes.npy`` + ``<name>.values.json`` per
+object column, ``keys.npy``).  :class:`_LegacySegment` still reads them,
+and is the only code that knows that layout; appends and ``compact``
+write segment files only, and the first append to a schema-1 store
+publishes a schema-2 manifest.
+
+Writers serialize on ``.lock``, write a segment as one temp file, seal it
+with ``rename`` and only then rewrite the manifest (atomic temp +
+``os.replace``), so readers — which take no lock — either see the old
+manifest or the new one, never a torn segment: a crash mid-append leaves
+an unreferenced file that ``compact`` sweeps.  Readers trust only the
+manifest; anything on disk it does not name does not exist.
 
 The manifest is compact single-line JSON.  Each store instance remembers
 the exact text of its last append's manifest; when the manifest on disk
@@ -42,7 +65,7 @@ Zone maps: each manifest segment entry may carry a ``"stats"`` mapping —
 per-column min/max/NaN-count for numeric columns, null count plus (small)
 distinct value pool for dict-encoded object columns.  ``to_frame(columns=
 ..., where=...)`` uses them to skip whole segments whose stats prove no
-row can match, and loads only the referenced column files.  Stats are
+row can match, and reads only the referenced columns.  Stats are
 optional (legacy manifests keep loading, just without pruning) and are
 backfilled by ``compact`` or ``analyze``; they are deliberately excluded
 from the manifest fingerprint so a backfill never changes row identity.
@@ -52,7 +75,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import mmap
 import os
+import shutil
+import stat
+import struct
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -80,11 +107,19 @@ __all__ = [
 #: bump when the manifest/segment layout changes incompatibly; readers
 #: refuse (loudly — a store is one artifact, not a cache of many) rather
 #: than skip, because silently dropping segments would corrupt reports.
-STORE_SCHEMA_VERSION = 1
+STORE_SCHEMA_VERSION = 2
+#: the schema whose segments are directories: read, never written
+_LEGACY_SCHEMA = 1
 
 _MANIFEST = "manifest.json"
 _SEGMENTS = "segments"
 _NUMERIC_KINDS = ("int64", "float64")
+
+#: a segment file's preamble: magic bytes, then the header's byte length
+_PREAMBLE = struct.Struct("<8sQ")
+_MAGIC = b"REPROSG2"
+#: every range of a segment file starts at a multiple of this
+_ALIGN = 8
 
 #: object-column zone maps record the segment's distinct value pool only
 #: up to this size — beyond it the pool stops being selective and would
@@ -110,15 +145,9 @@ def is_store_dir(path) -> bool:
     return (Path(path) / _MANIFEST).is_file()
 
 
-def _column_file_names(name: str, kind: str) -> List[str]:
-    if kind in _NUMERIC_KINDS:
-        return [f"{name}.npy"]
-    return [f"{name}.codes.npy", f"{name}.values.json"]
-
-
 def _check_column_name(name: str) -> str:
-    # column names become file names; the cache/frame vocabulary is
-    # [a-z0-9_] and "keys" is reserved for the identity file
+    # the cache/frame vocabulary is [a-z0-9_]; "keys" names the identity
+    # range (and, in schema 1, the identity file)
     if not name or not name.replace("_", "a").isalnum() or name == "keys":
         raise StoreError(f"column name {name!r} is not storable")
     return name
@@ -156,6 +185,23 @@ def _to_object(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _encode_column(
+    arr: np.ndarray,
+) -> Tuple[str, np.ndarray, Optional[bytes], Dict[str, Any]]:
+    """``(kind, values or codes, pool bytes or None, zone map)``: one
+    column as a segment stores it."""
+    kind = arr.dtype.kind
+    if kind in "iu":
+        data = np.ascontiguousarray(arr, np.int64)
+        return "int64", data, None, _numeric_stats(data)
+    if kind == "f":
+        data = np.ascontiguousarray(arr, np.float64)
+        return "float64", data, None, _numeric_stats(data)
+    codes, pool = _encode_object_column(np.asarray(arr, dtype=object))
+    text = json.dumps(pool, allow_nan=False, default=str)
+    return "object", codes, text.encode(), _object_stats(codes, pool)
+
+
 # -- zone-map statistics ---------------------------------------------------
 def _json_bound(value: Any) -> Any:
     """A numeric bound as a manifest-storable JSON value.
@@ -190,8 +236,8 @@ def _object_stats(codes: np.ndarray, pool: List[Any]) -> Dict[str, Any]:
     nulls = int(np.isin(np.asarray(codes), none_codes).sum()) if none_codes else 0
     stats: Dict[str, Any] = {"nulls": nulls}
     if len(pool) <= ZONE_MAP_MAX_VALUES:
-        # round-trip through the exact dialect values.json uses, so the
-        # manifest pool is bit-identical to what _load_segment will decode
+        # round-trip through the exact dialect a segment stores its pool
+        # in, so the manifest pool is bit-identical to what a read decodes
         stats["values"] = json.loads(
             json.dumps(pool, allow_nan=False, default=str)
         )
@@ -397,6 +443,148 @@ def _fill_may_match(name: str, cond: Any, target: str) -> bool:
     return _values_may_match(name, cond, fill)
 
 
+# -- segment readers -------------------------------------------------------
+class _SegmentFile:
+    """A sealed segment file (layout in the module docstring), mapped once.
+
+    Numeric columns and keys are read-only views of the map, so a
+    single-segment store is zero-copy; an object column's pool is parsed
+    only when that column is read.  The magic bytes, the header length and
+    every range read are checked against the file size, and a mismatch
+    raises :class:`StoreError` naming the store, the segment and the
+    column.  The bytes are not hashed: that would read every byte of a
+    million-row segment on each load.
+    """
+
+    def __init__(self, where: str, buf: Any, rows: int) -> None:
+        self.where = where
+        self.buf = buf
+        self.rows = rows
+        if buf[: len(_MAGIC)] != _MAGIC:
+            raise StoreError(f"{where} is not a segment file (bad magic bytes)")
+        if len(buf) < _PREAMBLE.size:
+            raise StoreError(f"{where} is truncated inside its preamble")
+        _, header_length = _PREAMBLE.unpack_from(buf)
+        end = _PREAMBLE.size + header_length
+        if end > len(buf):
+            raise StoreError(
+                f"{where}: its {header_length}-byte header runs past the end "
+                f"of the {len(buf)}-byte file"
+            )
+        try:
+            header = json.loads(buf[_PREAMBLE.size : end])
+            self.columns = {spec["name"]: spec for spec in header["columns"]}
+            self.key_spec = header["keys"]
+            stored_rows = header["rows"]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise StoreError(f"{where}: unreadable header ({exc!r})") from None
+        if stored_rows != rows:
+            raise StoreError(
+                f"{where} holds {stored_rows!r} rows, its manifest entry {rows}"
+            )
+        self.start = end + (-end % _ALIGN)
+
+    def _range(self, column: str, offset: Any, length: Any) -> Tuple[int, int]:
+        """Absolute ``(start, end)`` of a range of ``column`` in the data
+        region."""
+        if not (
+            isinstance(offset, int)
+            and isinstance(length, int)
+            and offset >= 0
+            and length >= 0
+            and self.start + offset + length <= len(self.buf)
+        ):
+            raise StoreError(
+                f"{self.where} column {column!r}: data bytes at offset "
+                f"{offset!r}, length {length!r} run past the end of the "
+                f"{len(self.buf)}-byte file"
+            )
+        return self.start + offset, self.start + offset + length
+
+    def _view(self, column: str, spec: Dict[str, Any]) -> np.ndarray:
+        """The ``rows`` values a header entry describes, as a view."""
+        try:
+            dtype = np.dtype(spec["dtype"])
+        except (KeyError, TypeError) as exc:
+            raise StoreError(
+                f"{self.where} column {column!r}: no readable dtype ({exc!r})"
+            ) from None
+        start, end = self._range(column, spec.get("offset"), spec.get("length"))
+        if end - start != self.rows * dtype.itemsize:
+            raise StoreError(
+                f"{self.where} column {column!r}: {end - start} bytes cannot "
+                f"hold {self.rows} {dtype} values"
+            )
+        return np.frombuffer(self.buf, dtype, self.rows, start)
+
+    def _spec(self, column: str, kind: str) -> Dict[str, Any]:
+        spec = self.columns.get(column)
+        if not isinstance(spec, dict) or spec.get("kind") != kind:
+            raise StoreError(f"{self.where} has no {kind} column {column!r}")
+        return spec
+
+    def numeric(self, column: str, kind: str) -> np.ndarray:
+        return self._view(column, self._spec(column, kind))
+
+    def encoded(self, column: str) -> Tuple[np.ndarray, List[Any]]:
+        """An object column's int32 codes and its parsed value pool."""
+        spec = self._spec(column, "object")
+        codes = self._view(column, spec)
+        start, end = self._range(
+            column, spec.get("pool_offset"), spec.get("pool_length")
+        )
+        try:
+            pool = json.loads(self.buf[start:end])
+        except ValueError as exc:
+            raise StoreError(
+                f"{self.where} column {column!r}: unreadable value pool ({exc})"
+            ) from None
+        return codes, pool
+
+    def keys(self) -> np.ndarray:
+        if not isinstance(self.key_spec, dict):
+            raise StoreError(f"{self.where} holds no keys")
+        return self._view("keys", self.key_spec)
+
+
+class _LegacySegment:
+    """A schema-1 segment: a directory holding ``<name>.npy`` per numeric
+    column, ``<name>.codes.npy`` and ``<name>.values.json`` per object
+    column, and ``keys.npy`` when keyed.  The only code that knows that
+    layout: this build reads it and never writes it."""
+
+    def __init__(self, path: Path, where: str) -> None:
+        self.path = path
+        self.where = where
+
+    def _read(self, column: str, file_name: str, read) -> Any:
+        try:
+            return read(self.path / file_name)
+        except (OSError, ValueError) as exc:
+            raise StoreError(
+                f"{self.where} column {column!r}: unreadable {file_name} ({exc})"
+            ) from exc
+
+    def numeric(self, column: str, kind: str) -> np.ndarray:
+        return self._read(
+            column, f"{column}.npy", lambda path: np.load(path, mmap_mode="r")
+        )
+
+    def encoded(self, column: str) -> Tuple[np.ndarray, List[Any]]:
+        codes = self._read(column, f"{column}.codes.npy", np.load)
+        pool = self._read(
+            column, f"{column}.values.json", lambda path: json.loads(path.read_text())
+        )
+        return codes, pool
+
+    def keys(self) -> np.ndarray:
+        return self._read("keys", "keys.npy", np.load)
+
+    @staticmethod
+    def size(path: Path) -> int:
+        return sum(child.stat().st_size for child in path.iterdir())
+
+
 class ColumnStore:
     """Append-only columnar result store (layout in the module docstring).
 
@@ -446,10 +634,10 @@ class ColumnStore:
             manifest.get("segments"), list
         ):
             raise StoreError(f"{self.manifest_path} is not a store manifest")
-        if manifest.get("schema") != STORE_SCHEMA_VERSION:
+        if manifest.get("schema") not in (STORE_SCHEMA_VERSION, _LEGACY_SCHEMA):
             raise StoreError(
                 f"store {self.root} has schema {manifest.get('schema')!r}, "
-                f"this build reads {STORE_SCHEMA_VERSION}"
+                f"this build reads {STORE_SCHEMA_VERSION} and {_LEGACY_SCHEMA}"
             )
         return manifest
 
@@ -551,6 +739,8 @@ class ColumnStore:
                     manifest = self._empty_manifest()
                 else:
                     manifest = self._parse_manifest(on_disk)
+                    # a segment file in a schema-1 store makes it schema 2
+                    manifest["schema"] = STORE_SCHEMA_VERSION
                 entry = self._seal_segment(
                     self._next_seq(s["name"] for s in manifest["segments"]),
                     columns,
@@ -588,7 +778,7 @@ class ColumnStore:
             except (IndexError, ValueError):
                 pass
         if self.segments_dir.is_dir():
-            # also step past unreferenced (crashed/stray) directories so a
+            # also step past unreferenced (crashed/stray) segments so a
             # recovered writer can never collide with one
             for path in self.segments_dir.glob("seg-*"):
                 try:
@@ -603,19 +793,67 @@ class ColumnStore:
         columns: Dict[str, np.ndarray],
         keys: Optional[Sequence[str]],
     ) -> Dict[str, Any]:
-        tmp = self.segments_dir / f".tmp-{os.getpid()}-{seq}"
-        tmp.mkdir(parents=True)
+        """Write ``columns`` (and ``keys``) as one segment file, built and
+        hashed in memory, so nothing is read back; returns its manifest
+        entry."""
+        n_rows = len(next(iter(columns.values()))) if columns else 0
+        data: List[Any] = []  # the data region's buffers, padding included
+        size = 0
+
+        def place(buf: Any) -> Tuple[int, int]:
+            nonlocal size
+            offset, length = size, memoryview(buf).nbytes
+            data.append(buf)
+            pad = -length % _ALIGN
+            if pad:
+                data.append(bytes(pad))
+            size += length + pad
+            return offset, length
+
+        layout: List[Dict[str, Any]] = []
         col_kinds: Dict[str, str] = {}
         col_stats: Dict[str, Dict[str, Any]] = {}
         for name, arr in columns.items():
             _check_column_name(name)
-            col_kinds[name], col_stats[name] = self._write_column(tmp, name, arr)
+            kind, values, pool, col_stats[name] = _encode_column(arr)
+            col_kinds[name] = kind
+            offset, length = place(values)
+            spec = {"name": name, "kind": kind, "dtype": values.dtype.str,
+                    "offset": offset, "length": length}
+            if pool is not None:
+                spec["pool_offset"], spec["pool_length"] = place(pool)
+            layout.append(spec)
+        key_spec = None
         if keys is not None:
-            np.save(tmp / "keys.npy", np.asarray(list(keys), dtype=np.str_))
-        fingerprint = self._fingerprint_segment(tmp)
+            key_array = np.asarray(list(keys), dtype=np.str_)
+            offset, length = place(key_array)
+            key_spec = {"dtype": key_array.dtype.str, "offset": offset,
+                        "length": length}
+        header = json.dumps(
+            {"rows": n_rows, "columns": layout, "keys": key_spec},
+            allow_nan=False, separators=(",", ":"),
+        ).encode()
+        head = _PREAMBLE.pack(_MAGIC, len(header)) + header
+        head += bytes(-len(head) % _ALIGN)
+        digest = hashlib.sha256(head)
+        for buf in data:
+            digest.update(buf)
+        fingerprint = digest.hexdigest()
         name = f"seg-{seq:08d}-{fingerprint[:8]}"
-        tmp.rename(self.segments_dir / name)
-        n_rows = len(next(iter(columns.values()))) if columns else 0
+        # truncate, not exclusive: under the writer lock a file of this
+        # name is a dead writer's whose pid recurs, and would otherwise
+        # block every append and compact until removed by hand
+        tmp = self.segments_dir / f".tmp-{os.getpid()}-{seq}"
+        try:
+            out = open(tmp, "wb")
+        except FileNotFoundError:  # the store's first segment
+            self.segments_dir.mkdir(parents=True, exist_ok=True)
+            out = open(tmp, "wb")
+        with out:
+            out.write(head)
+            for buf in data:
+                out.write(buf)
+        os.rename(tmp, self.segments_dir / name)
         return {
             "name": name,
             "rows": n_rows,
@@ -625,50 +863,37 @@ class ColumnStore:
             "stats": col_stats,
         }
 
-    @staticmethod
-    def _write_column(
-        seg_dir: Path, name: str, arr: np.ndarray
-    ) -> Tuple[str, Dict[str, Any]]:
-        kind = arr.dtype.kind
-        if kind in "iu":
-            data = np.ascontiguousarray(arr, np.int64)
-            np.save(seg_dir / f"{name}.npy", data)
-            return "int64", _numeric_stats(data)
-        if kind == "f":
-            data = np.ascontiguousarray(arr, np.float64)
-            np.save(seg_dir / f"{name}.npy", data)
-            return "float64", _numeric_stats(data)
-        codes, pool = _encode_object_column(np.asarray(arr, dtype=object))
-        np.save(seg_dir / f"{name}.codes.npy", codes)
-        (seg_dir / f"{name}.values.json").write_text(
-            json.dumps(pool, allow_nan=False, default=str)
-        )
-        return "object", _object_stats(codes, pool)
-
-    @staticmethod
-    def _fingerprint_segment(seg_dir: Path) -> str:
-        digest = hashlib.sha256()
-        for path in sorted(seg_dir.iterdir()):
-            data = path.read_bytes()
-            digest.update(f"{path.name}:{len(data)}:".encode())
-            digest.update(data)
-        return digest.hexdigest()
-
     # -- read -------------------------------------------------------------
+    def _open_segment(self, entry: Dict[str, Any]) -> Any:
+        """The reader of one manifest entry's segment: a
+        :class:`_SegmentFile`, or a :class:`_LegacySegment` when the entry
+        names a schema-1 directory."""
+        path = self.segments_dir / entry["name"]
+        where = f"store {self.root} segment {entry['name']}"
+        try:
+            with open(path, "rb") as fh:
+                try:
+                    buf: Any = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+                except ValueError:  # an empty file cannot be mapped
+                    buf = b""
+        except IsADirectoryError:
+            return _LegacySegment(path, where)
+        except OSError as exc:
+            raise StoreError(f"{where} is unreadable ({exc})") from exc
+        return _SegmentFile(where, buf, entry["rows"])
+
     def _load_segment(
         self, entry: Dict[str, Any], subset: Optional[Sequence[str]] = None
     ) -> Dict[str, np.ndarray]:
-        seg_dir = self.segments_dir / entry["name"]
+        segment = self._open_segment(entry)
         out: Dict[str, np.ndarray] = {}
         for name, kind in entry["columns"].items():
             if subset is not None and name not in subset:
                 continue
             if kind in _NUMERIC_KINDS:
-                out[name] = np.load(seg_dir / f"{name}.npy", mmap_mode="r")
+                out[name] = segment.numeric(name, kind)
             elif kind == "object":
-                codes = np.load(seg_dir / f"{name}.codes.npy")
-                pool = json.loads((seg_dir / f"{name}.values.json").read_text())
-                out[name] = _decode_object_column(codes, pool)
+                out[name] = _decode_object_column(*segment.encoded(name))
             else:
                 raise StoreError(
                     f"segment {entry['name']} column {name!r} has unknown "
@@ -677,7 +902,9 @@ class ColumnStore:
         return out
 
     def _segment_keys(self, entry: Dict[str, Any]) -> np.ndarray:
-        return np.load(self.segments_dir / entry["name"] / "keys.npy")
+        # a copy: a read holds every segment's keys at once, and a view
+        # would hold every segment's map with them
+        return np.array(self._open_segment(entry).keys())
 
     def to_frame(
         self,
@@ -694,7 +921,7 @@ class ColumnStore:
         re-ingested/re-run cell supersedes its old row without a compact.
 
         ``columns`` restricts the load to the named columns (projection —
-        unreferenced column files are never opened).  ``where`` takes
+        the bytes of unreferenced columns are never read).  ``where`` takes
         :meth:`ResultFrame.mask`-style conditions (scalar equality, list
         membership, ``{"op": ..., "value": ...}``) and is the pushdown
         read path: segments whose zone-map statistics prove no row can
@@ -714,7 +941,7 @@ class ColumnStore:
         out: set = set()
         for entry in self._require_manifest()["segments"]:
             if entry.get("keyed"):
-                out.update(self._segment_keys(entry).tolist())
+                out.update(self._open_segment(entry).keys().tolist())
         return out
 
     @staticmethod
@@ -1068,10 +1295,12 @@ class ColumnStore:
         Coalesces small segments (a queue worker publishing row-at-a-time
         produces many), makes key-supersession physical (superseded
         generations are dropped, not just masked at read time), and removes
-        unreferenced segment directories left by crashed writers.  Readers
-        racing a compact are safe: the manifest swap is atomic and old
-        segment directories are deleted only after the new manifest is
-        down.  Returns before/after segment and row counts.
+        every unreferenced entry of ``segments/``: segment files sealed but
+        never published, ``.tmp-`` files of killed writers, and schema-1
+        directories.  Readers racing a compact are safe: the manifest swap
+        is atomic and old segments are deleted only after the new manifest
+        is down.  Returns before/after segment and row counts and the
+        number of entries swept.
         """
         self._require_manifest()  # compacting a non-store is a caller bug
         self._acquire_lock()
@@ -1081,6 +1310,7 @@ class ColumnStore:
             before_rows = manifest["rows"]
             frame, keys = self._load_frame()
             seq = self._next_seq(s["name"] for s in manifest["segments"])
+            manifest["schema"] = STORE_SCHEMA_VERSION
             manifest["segments"] = []
             if len(frame):
                 columns = {name: frame[name] for name in frame.columns}
@@ -1097,17 +1327,18 @@ class ColumnStore:
             "segments_after": len(manifest["segments"]),
             "rows_before": before_rows,
             "rows_after": manifest["rows"],
-            "swept_dirs": swept,
+            "swept": swept,
         }
 
     def analyze(self) -> Dict[str, Any]:
         """Backfill zone-map statistics for segments sealed before stats
         existed, rewriting only the manifest.
 
-        Segment data files are immutable, so the stats are computed once
-        from disk and recorded next to each entry.  The manifest
+        Segments are immutable, so the stats are computed once from disk
+        and recorded next to each entry.  The manifest
         fingerprint hashes only row identity (name/rows/segment digest),
-        not stats, so backfilling never invalidates server ETags.  Returns
+        not stats, so a backfill keeps it, and with it the ETag of a
+        served ``/report``; the schema is kept too.  Returns
         ``{"segments", "analyzed"}``; segments that already carry stats are
         left untouched (``compact`` also produces stats as a side effect).
         """
@@ -1128,17 +1359,13 @@ class ColumnStore:
         return {"segments": len(manifest["segments"]), "analyzed": analyzed}
 
     def _stats_from_disk(self, entry: Dict[str, Any]) -> Dict[str, Any]:
-        seg_dir = self.segments_dir / entry["name"]
+        segment = self._open_segment(entry)
         stats: Dict[str, Any] = {}
         for name, kind in entry["columns"].items():
             if kind in _NUMERIC_KINDS:
-                stats[name] = _numeric_stats(
-                    np.load(seg_dir / f"{name}.npy", mmap_mode="r")
-                )
+                stats[name] = _numeric_stats(segment.numeric(name, kind))
             else:
-                codes = np.load(seg_dir / f"{name}.codes.npy")
-                pool = json.loads((seg_dir / f"{name}.values.json").read_text())
-                stats[name] = _object_stats(codes, pool)
+                stats[name] = _object_stats(*segment.encoded(name))
         return stats
 
     def segments(self) -> List[Dict[str, Any]]:
@@ -1152,11 +1379,12 @@ class ColumnStore:
         if not self.segments_dir.is_dir():
             return swept
         for path in self.segments_dir.iterdir():
-            if path.name in live or not path.is_dir():
+            if path.name in live:
                 continue
-            for child in path.iterdir():
-                child.unlink()
-            path.rmdir()
+            if path.is_dir():
+                shutil.rmtree(path)
+            else:
+                path.unlink()
             swept += 1
         return swept
 
@@ -1165,12 +1393,16 @@ class ColumnStore:
         manifest = self._require_manifest()
         size_bytes = 0
         for entry in manifest["segments"]:
-            seg_dir = self.segments_dir / entry["name"]
-            for path in seg_dir.iterdir():
-                try:
-                    size_bytes += path.stat().st_size
-                except OSError:
-                    pass
+            path = self.segments_dir / entry["name"]
+            try:
+                st = path.stat()
+                size_bytes += (
+                    _LegacySegment.size(path)
+                    if stat.S_ISDIR(st.st_mode)
+                    else st.st_size
+                )
+            except OSError:
+                pass
         return {
             "root": str(self.root),
             "schema": manifest["schema"],

@@ -238,3 +238,25 @@ class TestCacheCommands:
         assert main(["cache", "clear",
                      "--cache-dir", str(tmp_path / "cache")]) == 0
         assert "removed 3 entries" in capsys.readouterr().out
+
+
+class TestReportJson:
+    def test_stdout_document_is_the_file_document(self, tmp_path, capsysbinary):
+        """``--json -`` writes the bytes ``--json PATH`` writes (and the
+        served ``/report`` sends): no trailing newline."""
+        from repro.experiment.results import PruningResult
+
+        rows = [
+            PruningResult(model="m", dataset="d", strategy=strategy,
+                          compression=float(c), seed=0, top1=0.9 - 0.1 * c,
+                          baseline_top1=0.9, actual_compression=float(c))
+            for strategy in ("global_weight", "random") for c in (1, 2, 4)
+        ]
+        source = tmp_path / "results.json"
+        ResultSet(rows).save(source)
+        assert main(["report", str(source), "--json", "-"]) == 0
+        stdout = capsysbinary.readouterr().out
+        path = tmp_path / "report.json"
+        assert main(["report", str(source), "--json", str(path)]) == 0
+        assert stdout == path.read_bytes()
+        assert not stdout.endswith(b"\n")

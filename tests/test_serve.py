@@ -435,7 +435,7 @@ class TestReportParity:
             srv.stop()
         assert main(["report", str(queue_dir), "--json", "-"]) == 1  # partial
         cli_text = capsys.readouterr().out
-        assert payload.decode() == cli_text.rstrip("\n")
+        assert payload.decode() == cli_text
 
     def test_outstanding_in_healthz_and_report(self, queue_dir):
         srv = ResultsServer([FrameSource("q", queue_dir)])
@@ -609,16 +609,31 @@ class TestConditionalRequests:
         srv, source = served
         etags = {path: _request(srv, "GET", path)[0].getheader("ETag")
                  for path in DATA_PATHS}
-        source.load()  # the same rows again: the same tags, a cold memo
-        before = dict(builds)
-        for path, etag in etags.items():
-            for header in (etag, f'"zzz", {etag}'):
-                response, payload = _request(
-                    srv, "GET", path, headers={"If-None-Match": header})
-                assert response.status == 304 and payload == b"", path
-                assert response.getheader("ETag") == etag
-        assert builds == before
+        source.load()  # the same rows again: generation 2, a cold memo
+
+        def assert_not_modified(tags):
+            before = dict(builds)
+            for path, etag in tags.items():
+                for header in (etag, f'"zzz", {etag}'):
+                    response, payload = _request(
+                        srv, "GET", path, headers={"If-None-Match": header})
+                    assert response.status == 304 and payload == b"", path
+                    assert response.getheader("ETag") == etag
+            assert builds == before
+
+        # /report's body names no generation: its tag still matches
+        assert_not_modified({"/report": etags.pop("/report")})
         assert source.snapshot()._prepared is None  # not even prepared
+        # every other envelope names the generation: a new body, a new tag
+        fresh = {}
+        for path, etag in etags.items():
+            response, payload = _request(
+                srv, "GET", path, headers={"If-None-Match": etag})
+            assert response.status == 200, path
+            assert json.loads(payload)["generation"] == 2
+            fresh[path] = response.getheader("ETag")
+            assert fresh[path] != etag, path
+        assert_not_modified(fresh)
 
     def test_weak_tags_compare_weakly(self, served):
         srv, _ = served

@@ -24,6 +24,7 @@ from repro.experiment.queue import QueueWorker, WorkQueue
 from repro.experiment.results import PruningResult
 from repro.store import ColumnStore, StoreError, StoreLockTimeout, is_store_dir
 from repro.store import columnar
+from store_fixtures import SchemaOneStore
 
 
 def synth_spec(i: int) -> ExperimentSpec:
@@ -448,12 +449,22 @@ class TestManifestSplice:
             before.column("i").tolist() + [9]
 
     def test_fingerprint_is_pinned(self, tmp_path):
-        # the value earlier releases computed for the same appends: the
-        # compact manifest changes whitespace only, never row identity
-        store = ColumnStore(tmp_path / "store")
+        # the value earlier releases computed for the same appends, so the
+        # fixture writer is theirs: the compact manifest changes
+        # whitespace only, never row identity
+        store = SchemaOneStore(tmp_path / "store")
         append_pinned(store)
         assert store.fingerprint() == (
             "07aa80c4f0875a70259776435a9e423db87fd14b6dc1c4adf7bc7cc72efa67e2")
+        assert ColumnStore(store.root).fingerprint() == store.fingerprint()
+
+    def test_segment_file_fingerprint_is_pinned(self, tmp_path):
+        # the same appends as schema-2 segment files: a change to the
+        # segment layout or the manifest shows here
+        store = ColumnStore(tmp_path / "store")
+        append_pinned(store)
+        assert store.fingerprint() == (
+            "c75e65d4dae41f61bfece9efef3364aefcd48a6379961a1ed089073e84eed2a1")
 
 
 class TestStoreCLI:
@@ -908,8 +919,9 @@ class TestServePushdown:
                        "_replicate_baselines_records"):
             monkeypatch.setattr(ResultFrame, method, count(
                 "replicate", getattr(ResultFrame, method)))
-        # every segment column file is read through np.load
-        monkeypatch.setattr(np, "load", count("segment_reads", np.load))
+        # every segment read opens the segment first
+        monkeypatch.setattr(ColumnStore, "_open_segment", count(
+            "segment_reads", ColumnStore._open_segment))
         prepared = snapshot.prepared()
         top1 = snapshot.report_text("top1")
         top5 = snapshot.report_text("top5")
