@@ -3,7 +3,7 @@ across counting conventions (the paper's AlexNet example: 371 vs 724 vs
 1500 MFLOPs).  Demonstrated with explicit conventions on one model."""
 
 from repro.metrics import FlopsConvention, dense_flops
-from repro.models import MODELS as MODEL_REGISTRY
+from repro.models import MODELS
 
 
 CONVENTIONS = {
@@ -24,7 +24,7 @@ BENCH_MODELS = {
 def _generate():
     out = {}
     for label, (name, kw, shape) in BENCH_MODELS.items():
-        model = MODEL_REGISTRY.create(name, **kw)
+        model = MODELS.create(name, **kw)
         out[label] = {
             cname: dense_flops(model, shape, conv)
             for cname, conv in CONVENTIONS.items()

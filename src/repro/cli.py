@@ -30,9 +30,8 @@ with ``--csv`` exporting the curve data::
 
 ``run`` takes a :class:`~repro.experiment.config.SweepConfig` JSON file (the
 schema is documented in :mod:`repro.experiment.config`) and drives
-expand → (shard) → execute → assemble, with the same parallelism and
-multi-machine sharding flags the old ``python -m repro.experiment.sweep``
-CLI offered::
+expand → (shard) → execute → assemble, with parallelism and
+multi-machine sharding flags::
 
     python -m repro run sweep.json --workers 4 --out results.json
     machine A:  python -m repro run sweep.json --shard 0/2
@@ -424,7 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument("pattern", nargs="?", default=None,
                        help="only run benchmarks whose name matches this "
-                            "glob or substring (default: the full suite)")
+                            "regex, glob or substring (default: the full "
+                            "suite)")
     bench.add_argument("--list", action="store_true", dest="list_only",
                        help="list matching benchmarks without running them")
     bench.add_argument("--json", default=None, metavar="PATH", dest="json_out",
@@ -644,8 +644,8 @@ def _cmd_run(args) -> int:
             and config.executor in ("serial", "parallel")
             and not (options.keys() - {"kernel_backend"})):
         # a bare --workers override on a builtin executor picks
-        # serial/parallel from the count, like the old CLI; a custom
-        # registered executor keeps its name and just gets the new count
+        # serial/parallel from the count; a custom registered executor
+        # keeps its name and just gets the new count
         executor = executor_for(
             workers, cache=cache, on_event=on_event,
             kernel_backend=options.get("kernel_backend"),

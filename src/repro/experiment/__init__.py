@@ -18,7 +18,7 @@ from .config import (
     imagenet_finetune_config,
 )
 from .cache import ResultCache, spec_hash
-from .datasets import DATASET_REGISTRY, DATASETS, available_datasets, build_dataset
+from .datasets import DATASETS
 from .executor import (
     EXECUTORS,
     ParallelExecutor,
@@ -34,13 +34,12 @@ from .prune import (
     baseline_spec_for,
 )
 from .queue import QueueClaim, QueueExecutor, QueueWorker, WorkQueue
-from .results import CurvePoint, PruningResult, ResultSet, aggregate_curve
+from .results import CurvePoint, PruningResult, ResultSet
 from .runner import (
     PAPER_COMPRESSIONS,
     assemble_results,
     expand_sweep,
     run_config,
-    run_sweep,
 )
 from .seeds import fix_seeds
 from .train import Trainer, build_optimizer
@@ -53,9 +52,6 @@ __all__ = [
     "cifar_finetune_config",
     "imagenet_finetune_config",
     "DATASETS",
-    "DATASET_REGISTRY",
-    "build_dataset",
-    "available_datasets",
     "ExperimentSpec",
     "PruningExperiment",
     "BASELINE_STRATEGY",
@@ -64,12 +60,10 @@ __all__ = [
     "ResultSet",
     "ResultCache",
     "CurvePoint",
-    "aggregate_curve",
     "spec_hash",
     "expand_sweep",
     "assemble_results",
     "run_config",
-    "run_sweep",
     "EXECUTORS",
     "ProgressEvent",
     "SerialExecutor",

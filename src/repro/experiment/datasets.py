@@ -8,16 +8,14 @@ in a structured way").
 ``DATASETS`` is the shared :class:`repro.registry.Registry` instance;
 register custom bundles with ``@DATASETS.register("my-data")`` and
 instantiate them with ``DATASETS.create("my-data", **kwargs)``.
-``build_dataset`` / ``DATASET_REGISTRY`` are the historical entry points,
-kept as thin aliases.
 """
 
 from __future__ import annotations
 
 from ..data import SyntheticCIFAR10, SyntheticImageNet, SyntheticMNIST
-from ..registry import Registry, warn_deprecated
+from ..registry import Registry
 
-__all__ = ["DATASETS", "DATASET_REGISTRY", "build_dataset", "available_datasets"]
+__all__ = ["DATASETS"]
 
 DATASETS = Registry(
     "dataset",
@@ -27,18 +25,3 @@ DATASETS = Registry(
         "mnist": SyntheticMNIST,
     },
 )
-
-#: historical dict-style alias — the same object as ``DATASETS``
-DATASET_REGISTRY = DATASETS
-
-
-def build_dataset(name: str, **kwargs):
-    """Deprecated: use :meth:`DATASETS.create` instead."""
-    warn_deprecated(
-        "repro.experiment.build_dataset", "repro.experiment.DATASETS.create"
-    )
-    return DATASETS.create(name, **kwargs)
-
-
-def available_datasets():
-    return DATASETS.available()

@@ -8,9 +8,7 @@ so means and standard deviations across seeds are always computable.
 :class:`PruningResult` (the row) and :class:`ResultSet` (the transport
 container: collect/persist/load) are the stable interchange format; the
 *analysis* surface — filtering, grouping, aggregation, curves — lives in
-the columnar :class:`repro.analysis.ResultFrame`.  ``ResultSet.filter``
-and :func:`aggregate_curve` are kept as thin warn-once shims over the
-frame, like the PR 2 registry shims.
+the columnar :class:`repro.analysis.ResultFrame`.
 """
 
 from __future__ import annotations
@@ -18,14 +16,11 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional
 
-import numpy as np
-
-from ..registry import warn_deprecated
 from ..utils.jsonio import json_text
 
-__all__ = ["PruningResult", "ResultSet", "CurvePoint", "aggregate_curve"]
+__all__ = ["PruningResult", "ResultSet", "CurvePoint"]
 
 
 @dataclass
@@ -71,7 +66,10 @@ class PruningResult:
 
 
 class ResultSet:
-    """A collection of :class:`PruningResult` with query/aggregate helpers."""
+    """A collection of :class:`PruningResult`: collect, persist, load.
+
+    Analysis goes through :meth:`to_frame`.
+    """
 
     def __init__(self, results: Optional[Iterable[PruningResult]] = None) -> None:
         self.results: List[PruningResult] = list(results or [])
@@ -95,32 +93,6 @@ class ResultSet:
         from ..analysis.frame import ResultFrame
 
         return ResultFrame.from_results(self)
-
-    def filter(self, **conditions) -> "ResultSet":
-        """Deprecated: subset where every attribute equals the given value.
-
-        Thin shim over :meth:`repro.analysis.ResultFrame.filter` (which
-        also supports sequence membership and predicates); kept so seed-era
-        call sites keep working.  Returns the *same* row objects, not
-        copies.
-        """
-        warn_deprecated(
-            "repro.experiment.ResultSet.filter",
-            "repro.analysis.ResultFrame.filter",
-        )
-        try:
-            mask = self.to_frame().mask(**conditions)
-            return ResultSet(
-                self.results[i] for i in np.nonzero(mask)[0]
-            )
-        except KeyError:
-            # non-column attribute (e.g. a custom property): old slow path
-            out = [
-                r
-                for r in self.results
-                if all(getattr(r, k) == v for k, v in conditions.items())
-            ]
-            return ResultSet(out)
 
     def strategies(self) -> List[str]:
         return sorted({r.strategy for r in self.results})
@@ -152,21 +124,3 @@ class CurvePoint:
     std: float
     n: int
 
-
-def aggregate_curve(
-    results: Iterable[PruningResult],
-    x_attr: str = "compression",
-    y_attr: str = "top1",
-) -> List[CurvePoint]:
-    """Deprecated: group by x, mean ± sample std over seeds (§6).
-
-    Thin warn-once shim over :meth:`repro.analysis.ResultFrame.curve`,
-    which is where the aggregation now lives (and where Pareto frontiers,
-    group-bys and the baseline join live alongside it).
-    """
-    warn_deprecated(
-        "repro.experiment.aggregate_curve", "repro.analysis.ResultFrame.curve"
-    )
-    from ..analysis.frame import ResultFrame
-
-    return ResultFrame.from_results(results).curve(x=x_attr, y=y_attr)

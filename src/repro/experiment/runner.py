@@ -22,8 +22,6 @@ The matrix is split into three layers:
 :func:`run_config` glues the three together from a declarative
 :class:`~repro.experiment.config.SweepConfig`; ``python -m repro run
 sweep.json`` is the CLI equivalent with parallelism and sharding flags.
-:func:`run_sweep` is the historical keyword-argument entry point, kept as a
-deprecated wrapper.
 """
 
 from __future__ import annotations
@@ -31,10 +29,9 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Sequence
 
-from ..registry import warn_deprecated
 from .cache import ResultCache
 from .config import PAPER_COMPRESSIONS, SweepConfig, TrainConfig
-from .executor import EXECUTORS, executor_for
+from .executor import EXECUTORS
 from .prune import BASELINE_STRATEGY, ExperimentSpec, baseline_spec_for
 from .results import PruningResult, ResultSet
 
@@ -42,7 +39,6 @@ __all__ = [
     "expand_sweep",
     "assemble_results",
     "run_config",
-    "run_sweep",
     "PAPER_COMPRESSIONS",
     "BASELINE_STRATEGY",
 ]
@@ -67,8 +63,7 @@ def expand_sweep(
     """Expand the experiment grid into an ordered list of specs.
 
     Pure function of its arguments: no I/O, no execution.  Order is
-    seed-major, then ``compressions`` in the given order, then strategies —
-    matching the historical ``run_sweep`` execution order.
+    seed-major, then ``compressions`` in the given order, then strategies.
 
     With ``dedupe_baselines`` (default), every compression ≤ 1 entry
     collapses to a single per-seed baseline spec at compression 1.0 with
@@ -176,46 +171,3 @@ def run_config(
         replicate_baselines=config.dedupe_baselines,
     )
 
-
-def run_sweep(
-    model: str,
-    dataset: str,
-    strategies: Sequence[str],
-    compressions: Sequence[float] = PAPER_COMPRESSIONS,
-    seeds: Sequence[int] = (0, 1, 2),
-    model_kwargs: Optional[Dict] = None,
-    dataset_kwargs: Optional[Dict] = None,
-    pretrain: Optional[TrainConfig] = None,
-    finetune: Optional[TrainConfig] = None,
-    pretrain_seed: int = 0,
-    progress: Optional[Callable[[str], None]] = None,
-    skip_baseline_duplicates: bool = True,
-    executor=None,
-    cache: Optional[ResultCache] = None,
-) -> ResultSet:
-    """Deprecated: build a :class:`SweepConfig` and call :func:`run_config`.
-
-    Kept as a thin compatibility wrapper so pre-SweepConfig callers keep
-    working; the keyword surface maps 1:1 onto config fields.  Matching the
-    historical behavior, ``progress`` is quietly ignored when an explicit
-    ``executor`` is passed (the executor owns its progress wiring).
-    """
-    warn_deprecated("repro.experiment.run_sweep", "repro.experiment.run_config")
-    if executor is not None:
-        progress = None  # the old wrapper only wired progress into defaults
-    config = SweepConfig(
-        model=model,
-        dataset=dataset,
-        strategies=tuple(strategies),
-        compressions=tuple(compressions),
-        seeds=tuple(seeds),
-        model_kwargs=model_kwargs or {},
-        dataset_kwargs=dataset_kwargs or {},
-        pretrain=pretrain,
-        finetune=finetune,
-        pretrain_seed=pretrain_seed,
-        dedupe_baselines=skip_baseline_duplicates,
-    )
-    return run_config(
-        config, cache=cache, executor=executor, progress=progress
-    )

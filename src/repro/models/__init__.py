@@ -13,13 +13,7 @@ from .resnet import (
     resnet110,
 )
 from .mobilenet import MobileNetSmall, mobilenet_small
-from .registry import (
-    MODEL_REGISTRY,
-    MODELS,
-    available_models,
-    create_model,
-    register_model,
-)
+from .registry import MODELS
 
 __all__ = [
     "LeNet300100",
@@ -39,8 +33,4 @@ __all__ = [
     "MobileNetSmall",
     "mobilenet_small",
     "MODELS",
-    "MODEL_REGISTRY",
-    "create_model",
-    "available_models",
-    "register_model",
 ]

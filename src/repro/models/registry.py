@@ -6,29 +6,18 @@ the exact sets of architectures ... in a structured way").
 
 ``MODELS`` is the shared :class:`repro.registry.Registry` instance; register
 custom architectures with ``@MODELS.register("my-net")`` and instantiate
-them with ``MODELS.create("my-net", **kwargs)``.  ``create_model`` /
-``register_model`` / ``MODEL_REGISTRY`` are the historical entry points,
-kept as thin aliases.
+them with ``MODELS.create("my-net", **kwargs)``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List
-
-from ..nn import Module
-from ..registry import Registry, warn_deprecated
+from ..registry import Registry
 from .lenet import lenet5, lenet_300_100
 from .mobilenet import mobilenet_small
 from .resnet import resnet18, resnet20, resnet32, resnet56, resnet110
 from .vgg import cifar_vgg
 
-__all__ = [
-    "MODELS",
-    "MODEL_REGISTRY",
-    "create_model",
-    "available_models",
-    "register_model",
-]
+__all__ = ["MODELS"]
 
 MODELS = Registry(
     "model",
@@ -44,21 +33,3 @@ MODELS = Registry(
         "mobilenet-small": mobilenet_small,
     },
 )
-
-#: historical dict-style alias — the same object as ``MODELS``
-MODEL_REGISTRY = MODELS
-
-
-def register_model(name: str, factory: Callable[..., Module]) -> None:
-    """Add a custom architecture to the registry (alias of MODELS.register)."""
-    MODELS.register(name, factory)
-
-
-def create_model(name: str, **kwargs) -> Module:
-    """Deprecated: use :meth:`MODELS.create` instead."""
-    warn_deprecated("repro.models.create_model", "repro.models.MODELS.create")
-    return MODELS.create(name, **kwargs)
-
-
-def available_models() -> List[str]:
-    return MODELS.available()

@@ -118,19 +118,20 @@ def _regex_search(pattern: str, name: str) -> bool:
 def select_benchmarks(pattern: Optional[str] = None) -> List[Benchmark]:
     """Registered benchmarks whose name matches ``pattern``, sorted by name.
 
-    ``pattern`` is a shell glob (``frame_*``), a plain substring
-    (``cache``), or a regular expression searched anywhere in the name
-    (``store_.*``); ``|`` separates alternatives, any of which may match
-    (``'kernel|conv|train_step'``); ``None`` selects everything.
+    ``pattern`` is a regular expression searched anywhere in the name
+    (``store_.*``, ``'^(store_load|report_from_store)_1m$'``), a shell
+    glob (``frame_*``) or a plain substring (``cache``).  The whole
+    pattern is tried as a regex first; for the glob and substring forms
+    ``|`` separates alternatives, any of which may match
+    (``'*_rowloop|cache'``).  ``None`` selects everything.
     """
     names = BENCHMARKS.available()
     if pattern is not None:
         alternatives = [p for p in pattern.split("|") if p]
         names = [
             n for n in names
-            if any(
-                fnmatch.fnmatchcase(n, p) or p in n or _regex_search(p, n)
-                for p in alternatives
+            if _regex_search(pattern, n) or any(
+                fnmatch.fnmatchcase(n, p) or p in n for p in alternatives
             )
         ]
     return [BENCHMARKS.get(n) for n in names]

@@ -19,14 +19,12 @@ from .scoring import (
 from .strategies import (
     PAPER_LABELS,
     STRATEGIES,
-    STRATEGY_REGISTRY,
     GlobalMagGrad,
     GlobalMagWeight,
     LayerMagGrad,
     LayerMagWeight,
     LayerRandomPruning,
     RandomPruning,
-    create_strategy,
 )
 from .structured import GlobalFilterL1, LayerFilterL1
 from .schedule import (
@@ -68,10 +66,8 @@ __all__ = [
     "GlobalFilterL1",
     "LayerFilterL1",
     "STRATEGIES",
-    "STRATEGY_REGISTRY",
     "SCHEDULES",
     "PAPER_LABELS",
-    "create_strategy",
     "schedule_targets",
     "one_shot",
     "iterative_linear",

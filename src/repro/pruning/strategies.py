@@ -18,12 +18,12 @@ reproductions of those methods — exactly as the paper frames them.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
 from ..nn import Module
-from ..registry import Registry, warn_deprecated
+from ..registry import Registry
 from .base import (
     PruningContext,
     PruningStrategy,
@@ -40,16 +40,11 @@ __all__ = [
     "RandomPruning",
     "LayerRandomPruning",
     "STRATEGIES",
-    "STRATEGY_REGISTRY",
-    "create_strategy",
 ]
 
 #: shared registry of pruning strategies; classes register themselves via
 #: ``@STRATEGIES.register`` under their ``name`` attribute
 STRATEGIES = Registry("strategy")
-
-#: historical dict-style alias — the same object as ``STRATEGIES``
-STRATEGY_REGISTRY = STRATEGIES
 
 
 @STRATEGIES.register
@@ -155,10 +150,3 @@ PAPER_LABELS = {
     "layer_random": "Layer Random",
 }
 
-
-def create_strategy(name: str, prune_classifier: bool = False) -> PruningStrategy:
-    """Deprecated: use :meth:`STRATEGIES.create` instead."""
-    warn_deprecated(
-        "repro.pruning.create_strategy", "repro.pruning.STRATEGIES.create"
-    )
-    return STRATEGIES.create(name, prune_classifier=prune_classifier)

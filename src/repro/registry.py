@@ -37,18 +37,15 @@ can't silently shadow each other's components.
 
 Registries also implement the read side of the ``Mapping`` protocol
 (``[]``, ``in``, ``len``, iteration, ``items``/``keys``/``values``,
-``setdefault``) so the historical plain-dict registries
-(``MODEL_REGISTRY`` et al.) could become aliases of the shared instances
-without breaking callers.
+``setdefault``), so a registry can be indexed and iterated like a dict.
 """
 
 from __future__ import annotations
 
 import difflib
-import warnings
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional
 
-__all__ = ["Registry", "warn_deprecated"]
+__all__ = ["Registry"]
 
 
 class Registry:
@@ -145,7 +142,7 @@ class Registry:
             msg += f" — did you mean {', '.join(repr(c) for c in close)}?"
         return msg
 
-    # -- Mapping protocol (back-compat with the old dict registries) -----
+    # -- Mapping protocol ------------------------------------------------
     def __getitem__(self, name: str) -> Any:
         return self.get(name)
 
@@ -185,27 +182,3 @@ def _default_name(component: Any) -> Any:
     if isinstance(name, str) and name:
         return name
     return getattr(component, "__name__", None)
-
-
-# -- deprecation shims ---------------------------------------------------
-#: shim names that have already warned this process (warn exactly once each)
-_WARNED: set = set()
-
-
-def warn_deprecated(name: str, replacement: str) -> None:
-    """Emit a DeprecationWarning for ``name``, at most once per process.
-
-    Used by the pre-registry entry points (``create_model``,
-    ``create_strategy``, ``build_dataset``, ``run_sweep``) kept as thin
-    wrappers over the new API.  Warning once — rather than per call — keeps
-    sweeps that loop over the shims from flooding stderr while still being
-    caught by ``-W error::DeprecationWarning`` CI checks.
-    """
-    if name in _WARNED:
-        return
-    _WARNED.add(name)
-    warnings.warn(
-        f"{name} is deprecated; use {replacement} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )

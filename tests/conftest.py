@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.data import SyntheticCIFAR10
-from repro.models import create_model
+from repro.models import MODELS
 
 
 def pytest_sessionfinish(session, exitstatus):
@@ -39,9 +39,9 @@ def tiny_cifar():
 @pytest.fixture
 def tiny_resnet():
     """Smallest CIFAR ResNet at reduced width."""
-    return create_model("resnet-20", width_scale=0.25, seed=0)
+    return MODELS.create("resnet-20", width_scale=0.25, seed=0)
 
 
 @pytest.fixture
 def tiny_vgg():
-    return create_model("cifar-vgg", width_scale=0.125, input_size=8, seed=0)
+    return MODELS.create("cifar-vgg", width_scale=0.125, input_size=8, seed=0)

@@ -92,6 +92,28 @@ class TestRun:
         assert out_file.read_text() == before
         assert "[cache hit]" in capsys.readouterr().out
 
+    def test_sharded_runs_assemble_from_cache(self, tmp_path, capsys):
+        """Two --shard halves fill one cache; the unsharded run then hits
+        on every cell and writes the bytes a one-shot run writes."""
+        path = tiny_sweep_file(tmp_path)
+        cache_dir = str(tmp_path / "cache")
+        for shard in ("0/2", "1/2"):
+            assert main(["run", str(path), "--shard", shard,
+                         "--cache-dir", cache_dir]) == 0
+        out = capsys.readouterr().out
+        assert out.count("[done]") == 3 and "[cache hit]" not in out
+
+        merged = tmp_path / "merged.json"
+        assert main(["run", str(path), "--cache-dir", cache_dir,
+                     "--out", str(merged)]) == 0
+        out = capsys.readouterr().out
+        assert out.count("[cache hit]") == 3 and "[done]" not in out
+
+        one_shot = tmp_path / "one_shot.json"
+        assert main(["run", str(path), "--cache-dir", str(tmp_path / "fresh"),
+                     "--out", str(one_shot)]) == 0
+        assert merged.read_bytes() == one_shot.read_bytes()
+
     def test_missing_config_errors(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             main(["run", str(tmp_path / "nope.json")])

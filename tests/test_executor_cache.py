@@ -14,10 +14,11 @@ from repro.experiment import (
     PruningExperiment,
     ResultCache,
     SerialExecutor,
+    SweepConfig,
     TrainConfig,
     assemble_results,
     expand_sweep,
-    run_sweep,
+    run_config,
     shard_specs,
     spec_hash,
 )
@@ -198,8 +199,8 @@ class TestAssembleResults:
         specs = tiny_specs(strategies, (1, 2), (0,))
         rs = assemble_results(specs, [self._row(s) for s in specs], strategies)
         assert len(rs) == 4  # 2 baseline clones + 2 pruned rows
-        assert rs.filter(compression=1.0).strategies() == strategies
-        clones = rs.filter(compression=1.0).results
+        clones = [r for r in rs if r.compression == 1.0]
+        assert [r.strategy for r in clones] == strategies
         assert clones[0] is not clones[1]
 
     def test_no_replication_passthrough(self):
@@ -422,34 +423,37 @@ class TestExecutorFor:
             executor_for(-1)
 
 
-class TestRunSweepWrapper:
+class TestRunConfig:
     def test_matrix_and_baseline_replication(self, tmp_path):
-        results = run_sweep(
+        config = SweepConfig(
             model="lenet-300-100",
             dataset="cifar10",
-            strategies=["global_weight", "random"],
-            compressions=[1, 1, 2],  # duplicate baseline entry on purpose
-            seeds=[0],
+            strategies=("global_weight", "random"),
+            compressions=(1, 1, 2),  # duplicate baseline entry on purpose
+            seeds=(0,),
             model_kwargs=dict(input_size=8, in_channels=3),
             dataset_kwargs=dict(n_train=128, n_val=64, size=8, noise=0.5),
             pretrain=tiny_train(),
             finetune=tiny_train(),
-            cache=ResultCache(tmp_path / "c"),
         )
+        results = run_config(config, cache=ResultCache(tmp_path / "c"))
         # 2 baseline clones + 2 strategies @ 2x; the duplicate "1" adds nothing
         assert len(results) == 4
-        b = results.filter(compression=1.0)
-        assert b.strategies() == ["global_weight", "random"]
-        assert b.results[0].top1 == b.results[1].top1
+        b = results.to_frame().filter(compression=1.0)
+        assert b.unique("strategy") == ["global_weight", "random"]
+        assert b["top1"][0] == b["top1"][1]
 
     def test_explicit_executor_plus_cache_rejected(self, tmp_path):
+        config = SweepConfig(
+            model="lenet-300-100",
+            dataset="cifar10",
+            strategies=("global_weight",),
+            compressions=(1, 2),
+            seeds=(0,),
+        )
         with pytest.raises(ValueError, match="not both"):
-            run_sweep(
-                model="lenet-300-100",
-                dataset="cifar10",
-                strategies=["global_weight"],
-                compressions=[1, 2],
-                seeds=[0],
+            run_config(
+                config,
                 executor=SerialExecutor(),
                 cache=ResultCache(tmp_path / "c"),
             )
@@ -538,32 +542,36 @@ class TestParallelExecutor:
 
 
 @pytest.mark.slow
-class TestSweepCLI:
+class TestRunCLI:
     def test_cli_runs_and_caches(self, tmp_path, capsys):
-        from repro.experiment.sweep import main
-
-        out = tmp_path / "rows.json"
-        argv = [
-            "--model", "lenet-300-100", "--dataset", "cifar10",
-            "--strategies", "global_weight,random",
-            "--compressions", "1,2", "--seeds", "0",
-            "--model-kwargs", '{"input_size": 8, "in_channels": 3}',
-            "--dataset-kwargs", '{"n_train": 128, "n_val": 64, "size": 8, "noise": 0.5}',
-            "--pretrain-epochs", "1", "--finetune-epochs", "1",
-            "--cache-dir", str(tmp_path / "cache"),
-            "--out", str(out),
-        ]
-        assert main(argv) == 0
+        from repro.cli import main
         from repro.experiment import ResultSet
 
+        config = SweepConfig(
+            model="lenet-300-100",
+            dataset="cifar10",
+            strategies=("global_weight", "random"),
+            compressions=(1, 2),
+            seeds=(0,),
+            model_kwargs=dict(input_size=8, in_channels=3),
+            dataset_kwargs=dict(n_train=128, n_val=64, size=8, noise=0.5),
+            pretrain=tiny_train(),
+            finetune=tiny_train(),
+        )
+        path = config.save(tmp_path / "sweep.json")
+        out = tmp_path / "rows.json"
+        argv = ["run", str(path), "--cache-dir", str(tmp_path / "cache"),
+                "--out", str(out)]
+        assert main(argv) == 0
         rows = ResultSet.load(out)
         assert len(rows) == 4  # 2 baseline clones + 2 strategies @ 2x
         assert rows.strategies() == ["global_weight", "random"]
 
-        # re-run: pure cache hits, identical output file contents
-        before = out.read_text()
+        # re-run across 2 processes: pure cache hits, identical output bytes
+        before = out.read_bytes()
+        capsys.readouterr()
         assert main(argv + ["--workers", "2"]) == 0
-        assert out.read_text() == before
+        assert out.read_bytes() == before
         assert "[cache hit]" in capsys.readouterr().out
 
 

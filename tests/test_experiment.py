@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.analysis import ResultFrame
 from repro.experiment import (
+    DATASETS,
     ExperimentSpec,
     OptimizerConfig,
     PruningExperiment,
@@ -11,14 +13,12 @@ from repro.experiment import (
     ResultSet,
     TrainConfig,
     Trainer,
-    aggregate_curve,
-    build_dataset,
     build_optimizer,
     cifar_finetune_config,
     fix_seeds,
     imagenet_finetune_config,
 )
-from repro.models import create_model
+from repro.models import MODELS
 from repro.optim import SGD, Adam
 from repro.pruning import GlobalMagWeight, Pruner
 
@@ -46,7 +46,7 @@ class TestConfigs:
             OptimizerConfig(lr=-1.0)
 
     def test_build_optimizer_dispatch(self):
-        m = create_model("lenet-300-100", input_size=8, in_channels=1)
+        m = MODELS.create("lenet-300-100", input_size=8, in_channels=1)
         assert isinstance(build_optimizer(m, cifar_finetune_config()), Adam)
         assert isinstance(build_optimizer(m, imagenet_finetune_config()), SGD)
 
@@ -57,12 +57,12 @@ class TestConfigs:
 
 class TestDatasetRegistry:
     def test_known_datasets(self):
-        ds = build_dataset("cifar10", n_train=32, n_val=16, size=8)
+        ds = DATASETS.create("cifar10", n_train=32, n_val=16, size=8)
         assert len(ds.train) == 32
 
     def test_unknown_dataset(self):
         with pytest.raises(KeyError):
-            build_dataset("cifar11")
+            DATASETS.create("cifar11")
 
 
 class TestTrainer:
@@ -75,13 +75,13 @@ class TestTrainer:
         )
 
     def test_loss_decreases(self, tiny_cifar):
-        m = create_model("lenet-300-100", input_size=8, in_channels=3)
+        m = MODELS.create("lenet-300-100", input_size=8, in_channels=3)
         trainer = Trainer(m, tiny_cifar, self._config(), seed=0)
         history = trainer.run()
         assert history[-1]["train_loss"] < history[0]["train_loss"]
 
     def test_history_schema(self, tiny_cifar):
-        m = create_model("lenet-300-100", input_size=8, in_channels=3)
+        m = MODELS.create("lenet-300-100", input_size=8, in_channels=3)
         history = Trainer(m, tiny_cifar, self._config(epochs=1), seed=0).run()
         assert set(history[0]) >= {"epoch", "train_loss", "val_loss", "val_top1"}
 
@@ -92,12 +92,12 @@ class TestTrainer:
             optimizer=OptimizerConfig("sgd", lr=1e-8),  # no progress -> stop
             early_stop_patience=2,
         )
-        m = create_model("lenet-300-100", input_size=8, in_channels=3)
+        m = MODELS.create("lenet-300-100", input_size=8, in_channels=3)
         history = Trainer(m, tiny_cifar, cfg, seed=0).run()
         assert len(history) < 50
 
     def test_masked_training_keeps_masks(self, tiny_cifar):
-        m = create_model("lenet-300-100", input_size=8, in_channels=3)
+        m = MODELS.create("lenet-300-100", input_size=8, in_channels=3)
         registry = Pruner(m, GlobalMagWeight()).prune(4)
         trainer = Trainer(m, tiny_cifar, self._config(epochs=2), seed=0, masks=registry)
         trainer.run()
@@ -106,7 +106,7 @@ class TestTrainer:
     def test_determinism_given_seed(self, tiny_cifar):
         def run():
             fix_seeds(0)
-            m = create_model("lenet-300-100", input_size=8, in_channels=3, seed=0)
+            m = MODELS.create("lenet-300-100", input_size=8, in_channels=3, seed=0)
             Trainer(m, tiny_cifar, self._config(epochs=1), seed=7).run()
             return m.fc3.weight.data.copy()
 
@@ -133,8 +133,9 @@ class TestResults:
     def test_resultset_filter(self):
         rs = ResultSet([self._result(seed=s, strategy=st)
                         for s in (0, 1) for st in ("a", "b")])
-        assert len(rs.filter(strategy="a")) == 2
-        assert len(rs.filter(strategy="a", seed=1)) == 1
+        frame = rs.to_frame()
+        assert len(frame.filter(strategy="a")) == 2
+        assert len(frame.filter(strategy="a", seed=1)) == 1
         assert rs.strategies() == ["a", "b"]
         assert rs.seeds() == [0, 1]
 
@@ -146,13 +147,13 @@ class TestResults:
         assert len(rs2) == 3
         assert rs2.results[0].model == "resnet-56"
 
-    def test_aggregate_curve_mean_std(self):
+    def test_curve_mean_std(self):
         rs = [
             self._result(seed=0, compression=2.0, top1=0.8),
             self._result(seed=1, compression=2.0, top1=0.9),
             self._result(seed=0, compression=4.0, top1=0.7),
         ]
-        pts = aggregate_curve(rs)
+        pts = ResultFrame.from_results(rs).curve()
         assert len(pts) == 2
         assert pts[0].x == 2.0
         assert pts[0].mean == pytest.approx(0.85)

@@ -1,14 +1,13 @@
 """Integration: a miniature Figure-7-style sweep reproducing the paper's
 qualitative findings end-to-end through the public API."""
 
-import numpy as np
 import pytest
 
 from repro.experiment import (
     OptimizerConfig,
+    SweepConfig,
     TrainConfig,
-    aggregate_curve,
-    run_sweep,
+    run_config,
 )
 from repro.meta import audit_results
 from repro.plotting import curves_from_results, export_curves_csv, render_curves
@@ -23,17 +22,22 @@ def sweep():
     ft = TrainConfig(epochs=2, batch_size=32,
                      optimizer=OptimizerConfig("adam", 3e-4),
                      early_stop_patience=None)
-    return run_sweep(
+    return run_config(SweepConfig(
         model="lenet-5",
         dataset="cifar10",
-        strategies=["global_weight", "random"],
-        compressions=[1, 4, 8],
-        seeds=[0, 1],
+        strategies=("global_weight", "random"),
+        compressions=(1, 4, 8),
+        seeds=(0, 1),
         model_kwargs=dict(input_size=16, in_channels=3),
         dataset_kwargs=dict(n_train=512, n_val=192, size=16, noise=0.45),
         pretrain=pre,
         finetune=ft,
-    )
+    ))
+
+
+@pytest.fixture(scope="module")
+def frame(sweep):
+    return sweep.to_frame()
 
 
 class TestSweepStructure:
@@ -44,10 +48,10 @@ class TestSweepStructure:
         assert sweep.compressions() == [1.0, 4.0, 8.0]
         assert sweep.seeds() == [0, 1]
 
-    def test_baseline_shared_across_strategies(self, sweep):
-        b_gw = sweep.filter(strategy="global_weight", compression=1.0, seed=0)
-        b_rd = sweep.filter(strategy="random", compression=1.0, seed=0)
-        assert b_gw.results[0].top1 == b_rd.results[0].top1
+    def test_baseline_shared_across_strategies(self, frame):
+        b_gw = frame.filter(strategy="global_weight", compression=1.0, seed=0)
+        b_rd = frame.filter(strategy="random", compression=1.0, seed=0)
+        assert b_gw["top1"][0] == b_rd["top1"][0]
 
     def test_same_initial_model_everywhere(self, sweep):
         keys = {r.pretrained_key for r in sweep}
@@ -59,21 +63,21 @@ class TestSweepStructure:
 
 
 class TestPaperFindings:
-    def test_magnitude_beats_random_at_high_compression(self, sweep):
+    def test_magnitude_beats_random_at_high_compression(self, frame):
         """§3.2: 'many pruning methods outperform random pruning' —
         clearest at large amounts of pruning."""
-        gw = aggregate_curve(sweep.filter(strategy="global_weight", compression=4.0))
-        rd = aggregate_curve(sweep.filter(strategy="random", compression=4.0))
+        gw = frame.filter(strategy="global_weight", compression=4.0).curve()
+        rd = frame.filter(strategy="random", compression=4.0).curve()
         assert gw[0].mean > rd[0].mean
 
-    def test_accuracy_degrades_with_compression(self, sweep):
-        gw = {p.x: p.mean for p in aggregate_curve(sweep.filter(strategy="global_weight"))}
+    def test_accuracy_degrades_with_compression(self, frame):
+        gw = {p.x: p.mean for p in frame.filter(strategy="global_weight").curve()}
         assert gw[8.0] <= gw[1.0] + 0.02
 
-    def test_tradeoff_exists(self, sweep):
+    def test_tradeoff_exists(self, frame):
         """§4.3: 'the existence of a tradeoff between efficiency and
         accuracy' is the one consistent trend."""
-        rd = {p.x: p.mean for p in aggregate_curve(sweep.filter(strategy="random"))}
+        rd = {p.x: p.mean for p in frame.filter(strategy="random").curve()}
         assert rd[8.0] < rd[1.0]
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.models import create_model
+from repro.models import MODELS
 from repro.pruning import (
     GlobalMagWeight,
     Pruner,
@@ -20,7 +20,7 @@ from repro.pruning import (
 ])
 def test_schedule_reaches_target(schedule_fn, steps):
     target = 8.0
-    model = create_model("lenet-300-100", input_size=8, in_channels=1)
+    model = MODELS.create("lenet-300-100", input_size=8, in_channels=1)
     pruner = Pruner(model, GlobalMagWeight())
     targets = schedule_fn(target)
     assert len(targets) == steps
@@ -31,7 +31,7 @@ def test_schedule_reaches_target(schedule_fn, steps):
 
 
 def test_iterative_intermediate_compressions_monotone():
-    model = create_model("lenet-300-100", input_size=8, in_channels=1)
+    model = MODELS.create("lenet-300-100", input_size=8, in_channels=1)
     pruner = Pruner(model, GlobalMagWeight())
     seen = []
     for t in iterative_linear(16.0, 5):
@@ -44,8 +44,8 @@ def test_iterative_intermediate_compressions_monotone():
 def test_iterative_keeps_top_weights_of_final_oneshot():
     """With magnitude scoring and no retraining between steps, iterative
     pruning selects the same surviving set as one-shot (scores unchanged)."""
-    m1 = create_model("lenet-300-100", input_size=8, in_channels=1, seed=0)
-    m2 = create_model("lenet-300-100", input_size=8, in_channels=1, seed=0)
+    m1 = MODELS.create("lenet-300-100", input_size=8, in_channels=1, seed=0)
+    m2 = MODELS.create("lenet-300-100", input_size=8, in_channels=1, seed=0)
     p1 = Pruner(m1, GlobalMagWeight())
     p1.prune(8.0)
     p2 = Pruner(m2, GlobalMagWeight())

@@ -25,7 +25,7 @@ from repro.metrics import (
     trace_layers,
 )
 from repro.metrics import flops as flops_module
-from repro.models import MODELS, create_model
+from repro.models import MODELS
 from repro.nn import Conv2d, Flatten, Linear, Module, Sequential
 from repro.pruning import (
     STRATEGIES,
@@ -137,8 +137,8 @@ class TestFlops:
     def test_global_pruning_gives_lower_speedup_than_layerwise(self):
         """The Figure 6 mechanism: at equal compression, global pruning
         removes cheap FC/late weights, yielding a smaller FLOPs reduction."""
-        mg = create_model("cifar-vgg", width_scale=0.25, input_size=16, seed=0)
-        ml = create_model("cifar-vgg", width_scale=0.25, input_size=16, seed=0)
+        mg = MODELS.create("cifar-vgg", width_scale=0.25, input_size=16, seed=0)
+        ml = MODELS.create("cifar-vgg", width_scale=0.25, input_size=16, seed=0)
         Pruner(mg, GlobalMagWeight()).prune(8)
         Pruner(ml, LayerMagWeight()).prune(8)
         assert theoretical_speedup(mg, (3, 16, 16)) < theoretical_speedup(ml, (3, 16, 16))

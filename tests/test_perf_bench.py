@@ -78,6 +78,35 @@ class TestHarness:
         # a broken regex alternative is ignored rather than raising
         assert select_benchmarks("[unclosed") == []
 
+    def test_select_benchmarks_grouped_regex_alternatives(self):
+        # the whole pattern is a regex before it is split on "|"
+        pattern = "^(store_load|store_ingest|store_query_pushdown|report_from_store)_1m$"
+        assert [b.name for b in select_benchmarks(pattern)] == [
+            "report_from_store_1m", "store_ingest_1m", "store_load_1m",
+            "store_query_pushdown_1m",
+        ]
+        # glob and substring alternatives still split on "|"
+        assert [b.name for b in select_benchmarks("*_rowloop|cache")] == [
+            "experiment_cache_hit", "experiment_cache_miss",
+            "frame_filter_rowloop", "frame_group_by_rowloop",
+            "frame_join_baseline_rowloop",
+        ]
+
+    def test_select_benchmarks_ci_patterns_unchanged(self):
+        assert [b.name for b in select_benchmarks("kernel|conv|train_step")] == [
+            "autograd_conv2d_backward", "autograd_conv2d_forward",
+            "kernel_conv2d_backward_reference",
+            "kernel_conv2d_forward_reference",
+            "kernel_fused_conv_bias_relu_reference",
+            "nn_train_step", "nn_train_step_reference",
+        ]
+        assert [b.name for b in
+                select_benchmarks("store_.*|report_from_store")] == [
+            "report_from_store_1m", "report_from_store_1m_json_twin",
+            "store_ingest_1m", "store_load_1m", "store_load_1m_json_twin",
+            "store_query_fullscan_twin_1m", "store_query_pushdown_1m",
+        ]
+
     def test_timer_calibrates_inner_loops_for_fast_functions(self):
         timer = Timer(warmup=0, repeats=2, min_time=0.01)
         times, inner = timer.measure(lambda: None)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.experiment import OptimizerConfig, TrainConfig
-from repro.models import MODELS, create_model
+from repro.models import MODELS
 from repro.models.pretrained import (
     get_pretrained_state,
     load_checkpoint,
@@ -64,7 +64,7 @@ class TestKeying:
 class TestStore:
     def test_save_load_roundtrip(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_ARTIFACTS", str(tmp_path))
-        m = create_model("lenet-300-100", input_size=8, in_channels=1)
+        m = MODELS.create("lenet-300-100", input_size=8, in_channels=1)
         state = m.state_dict()
         save_checkpoint("unittest-key", state, meta={"note": "x"})
         loaded = load_checkpoint("unittest-key")
@@ -81,7 +81,7 @@ class TestStore:
 
         def factory():
             calls.append(1)
-            m = create_model("lenet-300-100", input_size=8, in_channels=1)
+            m = MODELS.create("lenet-300-100", input_size=8, in_channels=1)
             return m, [{"val_top1": 0.5}]
 
         args = ("m", {}, "d", {}, _cfg(), 0, factory)

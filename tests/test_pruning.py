@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.models import create_model
+from repro.models import MODELS
 from repro.nn import BatchNorm2d, Conv2d, Linear, Module, Sequential
 from repro.pruning import (
+    STRATEGIES,
     GlobalMagGrad,
     GlobalMagWeight,
     LayerMagGrad,
@@ -14,7 +15,6 @@ from repro.pruning import (
     LayerRandomPruning,
     PruningContext,
     RandomPruning,
-    create_strategy,
     find_classifier,
     magnitude_scores,
     masks_from_scores_global,
@@ -144,14 +144,14 @@ class TestStrategies:
 
     @pytest.mark.parametrize("name", ["global_weight", "layer_weight", "random", "layer_random"])
     def test_data_free_strategies_hit_fraction(self, name, tiny_resnet):
-        strat = create_strategy(name)
+        strat = STRATEGIES.create(name)
         ctx = PruningContext(rng=np.random.default_rng(0))
         masks = strat.compute_masks(tiny_resnet, 0.25, ctx)
         assert self._kept_fraction(masks) == pytest.approx(0.25, abs=0.02)
 
     @pytest.mark.parametrize("name", ["global_gradient", "layer_gradient"])
     def test_gradient_strategies_hit_fraction(self, name, tiny_resnet, context):
-        masks = create_strategy(name).compute_masks(tiny_resnet, 0.25, context)
+        masks = STRATEGIES.create(name).compute_masks(tiny_resnet, 0.25, context)
         assert self._kept_fraction(masks) == pytest.approx(0.25, abs=0.02)
 
     def test_gradient_strategy_requires_data(self, tiny_resnet):
@@ -199,7 +199,7 @@ class TestStrategies:
 
     def test_unknown_strategy_key(self):
         with pytest.raises(KeyError):
-            create_strategy("definitely-not-a-strategy")
+            STRATEGIES.create("definitely-not-a-strategy")
 
     def test_layer_random_uniform_proportions(self, tiny_resnet):
         masks = LayerRandomPruning().compute_masks(
@@ -226,8 +226,8 @@ class TestStructured:
 
         import copy
 
-        m_unstruct = create_model("cifar-vgg", width_scale=0.125, input_size=8, seed=0)
-        m_struct = create_model("cifar-vgg", width_scale=0.125, input_size=8, seed=0)
+        m_unstruct = MODELS.create("cifar-vgg", width_scale=0.125, input_size=8, seed=0)
+        m_struct = MODELS.create("cifar-vgg", width_scale=0.125, input_size=8, seed=0)
         Pruner(m_unstruct, GlobalMagWeight()).prune(4)
         Pruner(m_struct, GlobalFilterL1()).prune(4)
         su = theoretical_speedup(m_unstruct, (3, 8, 8))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.autograd import Tensor, cross_entropy
-from repro.models import create_model
+from repro.models import MODELS
 from repro.optim import SGD, Adam
 from repro.pruning import (
     GlobalMagWeight,
@@ -81,7 +81,7 @@ class TestMaskRegistry:
 
     def test_optimizer_cannot_resurrect_with_momentum(self):
         # momentum would push mass back into pruned weights without the hook
-        m = create_model("lenet-300-100", input_size=8, in_channels=1)
+        m = MODELS.create("lenet-300-100", input_size=8, in_channels=1)
         pruner = Pruner(m, GlobalMagWeight())
         reg = pruner.prune(4)
         opt = SGD(list(m.parameters()), lr=0.1, momentum=0.9)
@@ -97,7 +97,7 @@ class TestMaskRegistry:
         reg.validate()  # masks still enforced after momentum steps
 
     def test_adam_cannot_resurrect(self):
-        m = create_model("lenet-300-100", input_size=8, in_channels=1)
+        m = MODELS.create("lenet-300-100", input_size=8, in_channels=1)
         pruner = Pruner(m, GlobalMagWeight())
         reg = pruner.prune(8)
         opt = Adam(list(m.parameters()), lr=1e-2)
@@ -141,7 +141,7 @@ class TestFractionMath:
     @given(c=st.floats(1.0, 20.0))
     @settings(max_examples=30, deadline=None)
     def test_pruner_hits_target_property(self, c):
-        m = create_model("lenet-300-100", input_size=8, in_channels=1)
+        m = MODELS.create("lenet-300-100", input_size=8, in_channels=1)
         pruner = Pruner(m, GlobalMagWeight())
         if c > pruner.achievable_compression():
             return
@@ -161,7 +161,7 @@ class TestFractionMath:
 
     def test_actual_compression_everything_pruned_is_inf(self):
         """Regression: all-zero masks used to raise ZeroDivisionError."""
-        m = create_model("lenet-300-100", input_size=8, in_channels=1)
+        m = MODELS.create("lenet-300-100", input_size=8, in_channels=1)
         pruner = Pruner(m, GlobalMagWeight())
         pruner.registry.update(
             {name: np.zeros_like(p.data) for name, p in m.named_parameters()}

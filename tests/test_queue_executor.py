@@ -669,34 +669,28 @@ class TestQueueCLIFailureSurface:
         rows = ResultSet.load(out)
         assert rows.results[0].extra["failed"] is True
 
-    def test_legacy_sweep_cli_queue_dir_with_all_cores_workers(self, tmp_path):
+    def test_run_queue_dir_with_all_cores_workers(self, tmp_path):
         """--workers 0 means 'all cores', which for the queue executor must
         still mean at least one local worker — not a coordinator that hangs."""
-        from repro.experiment.sweep import main as sweep_main
+        from repro.cli import main
 
+        config = SweepConfig(
+            model="lenet-300-100",
+            dataset="cifar10",
+            strategies=("global_weight",),
+            compressions=(1, 2),
+            seeds=(0,),
+            model_kwargs=dict(input_size=4, in_channels=3),
+            dataset_kwargs=dict(n_train=32, n_val=16, size=4, noise=0.5),
+            pretrain=tiny_train(),
+            finetune=tiny_train(),
+        )
+        path = config.save(tmp_path / "sweep.json")
         out = tmp_path / "rows.json"
-        argv = [
-            "--model", "lenet-300-100", "--dataset", "cifar10",
-            "--strategies", "global_weight", "--compressions", "1,2",
-            "--seeds", "0",
-            "--model-kwargs", '{"input_size": 4, "in_channels": 3}',
-            "--dataset-kwargs", '{"n_train": 32, "n_val": 16, "size": 4, "noise": 0.5}',
-            "--pretrain-epochs", "1", "--finetune-epochs", "1",
-            "--queue-dir", str(tmp_path / "q"), "--workers", "0",
-            "--out", str(out),
-        ]
-        assert sweep_main(argv) == 0
+        assert main(["run", str(path), "--executor", "queue",
+                     "--queue-dir", str(tmp_path / "q"), "--workers", "0",
+                     "--out", str(out)]) == 0
         assert len(ResultSet.load(out)) == 2
-
-    def test_legacy_sweep_cli_queue_dir_rejects_no_cache(self, tmp_path):
-        from repro.experiment.sweep import main as sweep_main
-
-        with pytest.raises(ValueError, match="no-cache"):
-            sweep_main([
-                "--model", "lenet-300-100", "--dataset", "cifar10",
-                "--strategies", "global_weight",
-                "--queue-dir", str(tmp_path / "q"), "--no-cache",
-            ])
 
 
 @pytest.mark.slow

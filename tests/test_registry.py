@@ -119,24 +119,21 @@ class TestSharedInstances:
     """All component families go through the one Registry class."""
 
     def test_models(self):
-        from repro.models import MODEL_REGISTRY, MODELS
+        from repro.models import MODELS
 
         assert isinstance(MODELS, Registry)
-        assert MODEL_REGISTRY is MODELS
         assert "resnet-20" in MODELS and "lenet-5" in MODELS
 
     def test_datasets(self):
-        from repro.experiment import DATASET_REGISTRY, DATASETS
+        from repro.experiment import DATASETS
 
         assert isinstance(DATASETS, Registry)
-        assert DATASET_REGISTRY is DATASETS
         assert {"cifar10", "imagenet", "mnist"} <= set(DATASETS)
 
     def test_strategies(self):
-        from repro.pruning import STRATEGIES, STRATEGY_REGISTRY
+        from repro.pruning import STRATEGIES
 
         assert isinstance(STRATEGIES, Registry)
-        assert STRATEGY_REGISTRY is STRATEGIES
         assert {"global_weight", "layer_weight", "global_gradient",
                 "layer_gradient", "random", "layer_random",
                 "global_filter_l1", "layer_filter_l1"} <= set(STRATEGIES)

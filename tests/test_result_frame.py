@@ -1,7 +1,6 @@
 """Unit tests for the columnar analysis layer (repro.analysis.ResultFrame)."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -115,15 +114,6 @@ class TestFilter:
     def test_elementwise_predicate(self, frame):
         sub = frame.filter(strategy=lambda s: s.startswith("g"))
         assert set(sub["strategy"]) == {"global_weight"}
-
-    def test_filter_matches_legacy_resultset_filter(self, frame):
-        rs = ResultSet(make_rows())
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = rs.filter(strategy="global_weight", compression=4.0, seed=1)
-        sub = frame.filter(strategy="global_weight", compression=4.0, seed=1)
-        assert [r.to_dict() for r in sub.to_results()] == \
-               [r.to_dict() for r in legacy]
 
 
 class TestFilterOpSpecs:
@@ -249,17 +239,6 @@ class TestGroupAggregate:
         other = frame.filter(strategy="random")
         assert frame.fingerprint() != other.fingerprint()
 
-    def test_curve_matches_legacy_aggregate_curve(self):
-        rows = make_rows()
-        from repro.experiment import aggregate_curve
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = aggregate_curve(rows, x_attr="compression", y_attr="top1")
-        pts = ResultFrame.from_results(rows).curve(x="compression", y="top1")
-        assert [(p.x, p.mean, p.std, p.n) for p in legacy] == \
-               [(p.x, p.mean, p.std, p.n) for p in pts]
-
     def test_inf_propagates_without_corrupting_other_columns(self):
         """actual_compression can legitimately be inf (all-pruned masks)."""
         rows = make_rows(strategies=("global_weight",), seeds=(0, 1), comps=(4,))
@@ -359,43 +338,3 @@ class TestLoadFrame:
     def test_load_frame_missing_path(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_frame(tmp_path / "nope.json")
-
-
-class TestDeprecatedShims:
-    def test_aggregate_curve_warns_once(self):
-        import repro.registry as registry_mod
-
-        registry_mod._WARNED.discard("repro.experiment.aggregate_curve")
-        from repro.experiment import aggregate_curve
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            aggregate_curve(make_rows())
-            aggregate_curve(make_rows())
-        dep = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(dep) == 1
-        assert "aggregate_curve" in str(dep[0].message)
-
-    def test_resultset_filter_warns_once_and_keeps_identity(self):
-        import repro.registry as registry_mod
-
-        registry_mod._WARNED.discard("repro.experiment.ResultSet.filter")
-        rs = ResultSet(make_rows())
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            sub = rs.filter(strategy="random")
-            rs.filter(strategy="global_weight")
-        dep = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(dep) == 1
-        # the shim returns the same row objects, not copies
-        assert all(any(r is orig for orig in rs.results) for r in sub.results)
-
-    def test_resultset_filter_falls_back_for_non_columns(self):
-        rows = make_rows(strategies=("global_weight",), seeds=(0,), comps=(1, 2))
-        for r in rows:
-            r.pruned_flag = r.compression > 1  # ad-hoc attr, not a column
-        rs = ResultSet(rows)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            sub = rs.filter(pruned_flag=True)
-        assert [r.compression for r in sub] == [2.0]

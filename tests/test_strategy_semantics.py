@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from repro.data import DataLoader, SyntheticCIFAR10
-from repro.models import create_model
+from repro.models import MODELS
 from repro.pruning import (
     PAPER_LABELS,
-    STRATEGY_REGISTRY,
+    STRATEGIES,
     GlobalMagGrad,
     GlobalMagWeight,
     LayerMagWeight,
@@ -19,18 +19,18 @@ from repro.pruning import (
 
 class TestRegistryConsistency:
     def test_every_strategy_has_a_label(self):
-        for key in STRATEGY_REGISTRY:
+        for key in STRATEGIES:
             assert key in PAPER_LABELS, f"missing display label for {key}"
 
     def test_names_match_keys(self):
-        for key, cls in STRATEGY_REGISTRY.items():
+        for key, cls in STRATEGIES.items():
             assert cls.name == key
 
     def test_paper_baselines_all_registered(self):
         # §7.2 lists exactly these five baselines
         for key in ("global_weight", "layer_weight", "global_gradient",
                     "layer_gradient", "random"):
-            assert key in STRATEGY_REGISTRY
+            assert key in STRATEGIES
 
 
 class TestAllocationSemantics:
@@ -95,8 +95,8 @@ class TestGradientScoringContract:
 
 class TestClassifierHandling:
     def test_prune_classifier_raises_achievable_cap(self):
-        m1 = create_model("lenet-300-100", input_size=8, in_channels=1)
-        m2 = create_model("lenet-300-100", input_size=8, in_channels=1)
+        m1 = MODELS.create("lenet-300-100", input_size=8, in_channels=1)
+        m2 = MODELS.create("lenet-300-100", input_size=8, in_channels=1)
         cap_default = Pruner(m1, GlobalMagWeight()).achievable_compression()
         cap_with_clf = Pruner(
             m2, GlobalMagWeight(prune_classifier=True)
@@ -104,21 +104,21 @@ class TestClassifierHandling:
         assert cap_with_clf > cap_default
 
     def test_classifier_weights_untouched_by_default(self):
-        m = create_model("lenet-300-100", input_size=8, in_channels=1)
+        m = MODELS.create("lenet-300-100", input_size=8, in_channels=1)
         before = m.fc3.weight.data.copy()
         Pruner(m, GlobalMagWeight()).prune(8)
         np.testing.assert_array_equal(before, m.fc3.weight.data)
 
     def test_classifier_pruned_when_requested(self):
-        m = create_model("lenet-300-100", input_size=8, in_channels=1)
+        m = MODELS.create("lenet-300-100", input_size=8, in_channels=1)
         Pruner(m, GlobalMagWeight(prune_classifier=True)).prune(8)
         assert (m.fc3.weight.data == 0).any()
 
 
 class TestSeedIsolation:
     def test_pretrain_seed_controls_init_not_data_order(self, tiny_cifar):
-        a = create_model("resnet-20", width_scale=0.25, seed=1)
-        b = create_model("resnet-20", width_scale=0.25, seed=2)
+        a = MODELS.create("resnet-20", width_scale=0.25, seed=1)
+        b = MODELS.create("resnet-20", width_scale=0.25, seed=2)
         assert not np.array_equal(a.stem.weight.data, b.stem.weight.data)
 
     def test_prunable_params_stable_order(self, tiny_resnet):

@@ -8,11 +8,11 @@ import time
 import numpy as np
 import pytest
 
+from repro.analysis import ResultFrame
 from repro.autograd import Tensor
 from repro.data import ArrayDataset, DataLoader
-from repro.experiment import PruningResult, ResultSet, aggregate_curve
 from repro.metrics import evaluate
-from repro.models import create_model
+from repro.models import MODELS
 from repro.nn import Linear
 from repro.pruning import GlobalMagWeight, Pruner
 from repro.utils import artifacts_dir, atomic_write_text, set_blas_threads
@@ -99,34 +99,28 @@ class TestFailureInjection:
         loader.transform = None
         loader.drop_last = False
         loader.rng = np.random.default_rng(0)
-        m = create_model("lenet-300-100", input_size=4, in_channels=1)
+        m = MODELS.create("lenet-300-100", input_size=4, in_channels=1)
         with pytest.raises(ValueError):
             evaluate(m, loader)
 
     def test_aggregate_empty_results(self):
-        assert aggregate_curve([]) == []
-
-    def test_resultset_filter_unknown_attr(self):
-        rs = ResultSet([PruningResult(model="m", dataset="d", strategy="s",
-                                      compression=2.0, seed=0)])
-        with pytest.raises(AttributeError):
-            rs.filter(nonexistent_field=1)
+        assert ResultFrame.from_results([]).curve() == []
 
     def test_pruner_rejects_sub_unity_compression(self):
-        m = create_model("lenet-300-100", input_size=8, in_channels=1)
+        m = MODELS.create("lenet-300-100", input_size=8, in_channels=1)
         with pytest.raises(ValueError):
             Pruner(m, GlobalMagWeight()).prune(0.5)
 
     def test_corrupted_checkpoint_shape_rejected(self):
-        m = create_model("lenet-300-100", input_size=8, in_channels=1)
+        m = MODELS.create("lenet-300-100", input_size=8, in_channels=1)
         state = m.state_dict()
         state["fc1.weight"] = state["fc1.weight"][:, :-1]
-        fresh = create_model("lenet-300-100", input_size=8, in_channels=1)
+        fresh = MODELS.create("lenet-300-100", input_size=8, in_channels=1)
         with pytest.raises(ValueError):
             fresh.load_state_dict(state)
 
     def test_model_with_nan_weights_detected_by_eval(self, tiny_cifar):
-        m = create_model("lenet-300-100", input_size=8, in_channels=3)
+        m = MODELS.create("lenet-300-100", input_size=8, in_channels=3)
         m.fc1.weight.data[:] = np.nan
         loader = DataLoader(tiny_cifar.val, batch_size=32)
         out = evaluate(m, loader)
@@ -136,7 +130,7 @@ class TestFailureInjection:
         # fully functional after heavy pruning: no NaN/shape corruption
         from repro.autograd import cross_entropy
 
-        m = create_model("resnet-20", width_scale=0.25, seed=0)
+        m = MODELS.create("resnet-20", width_scale=0.25, seed=0)
         Pruner(m, GlobalMagWeight()).prune(10)
         x = Tensor(np.random.default_rng(0).normal(size=(4, 3, 8, 8)).astype(np.float32))
         loss = cross_entropy(m(x), np.zeros(4, dtype=np.int64))
@@ -145,7 +139,7 @@ class TestFailureInjection:
 
     def test_double_prune_is_monotone(self):
         """Iterative pruning can only remove more weights, never revive."""
-        m = create_model("lenet-300-100", input_size=8, in_channels=1)
+        m = MODELS.create("lenet-300-100", input_size=8, in_channels=1)
         pruner = Pruner(m, GlobalMagWeight())
         pruner.prune(2)
         kept_2 = pruner.registry.total_kept()
