@@ -191,21 +191,31 @@ class Query:
         the selected page as record dicts.  Unknown columns raise
         :class:`QueryError` (the document shape was already validated by
         :func:`compile_query`).
+
+        A filter's rows are copied out of :meth:`needed_columns` only: the
+        mask is computed on the whole frame, so errors come in the order a
+        full ``frame.filter`` would raise them.
         """
         self._checked_columns(frame, self.filter, "filter")
+        if not self.filter:
+            return self._finish(frame, frame)
         try:
-            rows = frame.filter(**self.filter) if self.filter else frame
+            mask = frame.mask(**self.filter)
         except ValueError as exc:  # e.g. op applied to an incomparable column
             raise QueryError(str(exc)) from exc
-        return self._finish(frame, rows)
+        names = self.needed_columns(frame.columns)
+        kept = frame if names is None else \
+            ResultFrame({name: frame.column(name) for name in names})
+        return self._finish(frame, kept.take(mask))
 
     def needed_columns(self, available) -> Optional[List[str]]:
         """The source columns this query must load, in ``available`` order —
         or None when it needs all of them (no projection possible).
 
-        Validates every referenced column against ``available`` (the store
-        manifest's column list == the full frame's vocabulary) so pushdown
-        raises the same :class:`QueryError` as the full scan would.
+        Validates every referenced column against ``available`` (a frame's
+        columns, or the store manifest's list, which is the full frame's
+        vocabulary) so a projected read raises the same :class:`QueryError`
+        as the unprojected one would.
         """
         available = list(available)
         self._checked_names(available, self.filter, "filter")

@@ -683,9 +683,10 @@ def _pushdown_workdir():
 
 
 @benchmark("store_query_pushdown_1m",
-           f"zone-map pushdown /query (seed == 7 over {PUSHDOWN_SEGMENTS} "
-           f"seed-clustered segments, {STORE_BENCH_ROWS} rows): skip "
-           "non-matching segments, load only referenced columns")
+           f"zone-map pushdown query (Query.apply_store; seed == 7 over "
+           f"{PUSHDOWN_SEGMENTS} seed-clustered segments, "
+           f"{STORE_BENCH_ROWS} rows): skip non-matching segments, load "
+           "only referenced columns")
 def _bench_store_query_pushdown():
     from ..analysis.query import compile_query
 

@@ -146,10 +146,6 @@ class Registry:
     def __getitem__(self, name: str) -> Any:
         return self.get(name)
 
-    def __setitem__(self, name: str, obj: Any) -> None:
-        # dict-style assignment keeps dict semantics: silent replace
-        self._register(name, obj, override=True)
-
     def __contains__(self, name: object) -> bool:
         return name in self._entries
 

@@ -47,8 +47,9 @@ Consistency and caching model
 * **Bodies.**  A snapshot memoizes the 200 bodies of ``/report``,
   ``/summary``, ``/curves`` and ``/pareto`` by ETag (at most
   :data:`BODY_MEMO_SIZE`), building each once however many requests ask at
-  once.  ``/query`` bodies are built per request: any filter can be sent,
-  and a select can return every row.
+  once.  ``/query`` bodies are built per request from the snapshot's
+  frame (any filter can be sent, and a select can return every row);
+  answering one never reads the source again.
 * **Reload.**  With ``reload_interval > 0`` a daemon thread polls each
   path-backed source's mtime signature and atomically swaps in a fresh
   snapshot when it changes — a queue directory still being drained by
@@ -111,7 +112,8 @@ class Snapshot:
     """One immutable loaded generation of a source.
 
     Everything a handler needs is reachable from here, so a request that
-    holds a snapshot is isolated from concurrent reloads.  Derived
+    holds a snapshot is isolated from concurrent reloads and never touches
+    the source on disk: a compaction racing a request cannot tear it.  Derived
     artifacts (the replicated frame, the 200 bodies by ETag) are computed
     lazily once and cached — many readers, one build.  Every report-shaped
     endpoint reads the one replicated frame, so a generation replicates
@@ -124,8 +126,6 @@ class Snapshot:
         generation: int,
         outstanding: Optional[Dict[str, int]] = None,
         fingerprint: Optional[str] = None,
-        store=None,
-        store_manifest: Optional[Dict[str, Any]] = None,
     ) -> None:
         self.frame = frame
         self.generation = generation
@@ -135,11 +135,6 @@ class Snapshot:
         # changes-iff-data-changed contract, without re-hashing a
         # million-row frame on every reload
         self.fingerprint = fingerprint if fingerprint else frame.fingerprint()
-        # store-backed snapshots keep the handle + the manifest generation
-        # they were loaded from, so /query can push filters down to
-        # segment level instead of scanning self.frame
-        self.store = store
-        self.store_manifest = store_manifest
         self._lock = threading.Lock()
         self._replicated: Optional[ResultFrame] = None
         self._prepared: Optional[ResultFrame] = None
@@ -272,16 +267,15 @@ class FrameSource:
             # the load re-triggers on the next poll instead of being missed
             signature = self._signature()
             fingerprint = None
-            store = manifest = None
             if self.path is None:
                 frame = self._memory_frame
                 outstanding = {"pending": 0, "leased": 0}
             elif self.kind == "store":
                 from ..store import ColumnStore
 
-                # keep the handle + this generation's manifest so handlers
-                # can push queries down to segment level (one manifest read
-                # per load: fingerprint, frame, and planner all share it)
+                # one manifest read per load: the frame and the fingerprint
+                # name the same generation.  The frame is every request's
+                # only read of this generation's rows.
                 store = ColumnStore(self.path)
                 manifest = store._require_manifest()
                 frame = store.to_frame(manifest=manifest)
@@ -291,10 +285,8 @@ class FrameSource:
                 frame = load_frame(self.path, cache_dir=self.cache_dir)
                 outstanding = queue_outstanding(self.path)
             self._generation += 1
-            snapshot = Snapshot(
-                frame, self._generation, outstanding,
-                fingerprint=fingerprint, store=store, store_manifest=manifest,
-            )
+            snapshot = Snapshot(frame, self._generation, outstanding,
+                                fingerprint=fingerprint)
             self._signature_loaded = signature
             self._snapshot = snapshot  # atomic ref swap: readers never block
             return snapshot
@@ -851,31 +843,15 @@ class ResultsServer:
         source = self._source(query.frame or params.get("frame"))
         snapshot = source.snapshot()
 
-        def build() -> str:
-            result = None
-            if snapshot.store is not None:
-                try:
-                    # zone-map pushdown: skip segments the filter rules out
-                    # and load only referenced columns.  QueryError
-                    # propagates (it is identical on both paths by
-                    # construction); a store torn by a racing compact falls
-                    # back to the snapshot frame.
-                    result = query.apply_store(
-                        snapshot.store, manifest=snapshot.store_manifest
-                    )
-                except QueryError:
-                    raise
-                except (OSError, RuntimeError):
-                    result = None
-            if result is None:
-                result = query.apply(snapshot.frame)
-            return json_text(self._envelope(source, snapshot, result))
-
         # not memoized: any filter can be sent, and a select can return
         # every row
-        return _Plan(snapshot,
-                     self._etag(source, snapshot, "/query", query.canonical()),
-                     build, memo=False)
+        return _Plan(
+            snapshot,
+            self._etag(source, snapshot, "/query", query.canonical()),
+            lambda: json_text(self._envelope(
+                source, snapshot, query.apply(snapshot.frame))),
+            memo=False,
+        )
 
 
 class _Handler(BaseHTTPRequestHandler):

@@ -159,7 +159,8 @@ def _encode_object_column(arr: np.ndarray) -> Tuple[np.ndarray, List[Any]]:
     pool: List[Any] = []
     index: Dict[Any, int] = {}
     for i, value in enumerate(arr):
-        safe = sanitize_nonfinite(value)
+        # most values are plain strings, which sanitizing returns as they are
+        safe = value if type(value) is str else sanitize_nonfinite(value)
         if isinstance(safe, str):
             key: Any = ("s", safe)
         else:
@@ -955,10 +956,10 @@ class ColumnStore:
         return "int64"
 
     @staticmethod
-    def _empty_column(target: str) -> np.ndarray:
+    def _empty_column(target: str, rows: int = 0) -> np.ndarray:
         if target == "object":
-            return np.empty(0, dtype=object)
-        return np.empty(0, dtype=np.int64 if target == "int64" else np.float64)
+            return np.empty(rows, dtype=object)
+        return np.empty(rows, np.int64 if target == "int64" else np.float64)
 
     def _check_where(
         self, where: Optional[Dict[str, Any]], names: Sequence[str]
@@ -1107,11 +1108,29 @@ class ColumnStore:
         }
         key_parts, keep_masks = self._dedup_keep_masks(segments)
         keyed = key_parts is not None
+        chosen = [
+            i for i, entry in enumerate(segments)
+            if not where or self._segment_may_match(entry, where, targets)
+        ]
+        # A segment's column views pin its map, and each map holds a file
+        # descriptor, so no view may outlive its segment's turn: views kept
+        # for one final concatenation run a read of ~1,000 segments out of
+        # descriptors.  An unfiltered read of several segments copies each
+        # into its slice of preallocated columns, sized by the manifest and
+        # the keep masks; a filtered read's parts are masked copies already.
+        fill = not where and len(chosen) > 1
+        out_columns: Dict[str, np.ndarray] = {}
+        if fill:
+            total = sum(segments[i]["rows"] if keep_masks is None
+                        else np.count_nonzero(keep_masks[i])
+                        for i in chosen)
+            out_columns = {name: self._empty_column(targets[name], total)
+                           for name in names}
         col_parts: Dict[str, List[np.ndarray]] = {name: [] for name in names}
         key_out: List[np.ndarray] = []
-        for i, entry in enumerate(segments):
-            if where and not self._segment_may_match(entry, where, targets):
-                continue
+        filled = 0
+        for i in chosen:
+            entry = segments[i]
             loaded = self._load_segment(entry, subset=needed)
             arrays: Dict[str, np.ndarray] = {}
             for name in needed:
@@ -1127,22 +1146,25 @@ class ColumnStore:
             if where:
                 row_mask = ResultFrame(arrays).mask(**where)
                 mask = row_mask if mask is None else (mask & row_mask)
+            rows = entry["rows"] if mask is None else np.count_nonzero(mask)
             for name in names:
-                col_parts[name].append(
-                    arrays[name] if mask is None else arrays[name][mask]
-                )
+                part = arrays[name] if mask is None else arrays[name][mask]
+                if fill:
+                    out_columns[name][filled : filled + rows] = part
+                else:
+                    col_parts[name].append(part)
+            filled += rows
             if keyed:
                 seg_keys = key_parts[i]
                 key_out.append(seg_keys if mask is None else seg_keys[mask])
-        out_columns: Dict[str, np.ndarray] = {}
-        for name in names:
-            parts = col_parts[name]
-            if not parts:
-                out_columns[name] = self._empty_column(targets[name])
-            elif len(parts) == 1:
-                out_columns[name] = parts[0]
-            else:
-                out_columns[name] = np.concatenate(parts)
+        if not fill:
+            for name, parts in col_parts.items():
+                if not parts:
+                    out_columns[name] = self._empty_column(targets[name])
+                elif len(parts) == 1:
+                    out_columns[name] = parts[0]
+                else:
+                    out_columns[name] = np.concatenate(parts)
         keys: Optional[np.ndarray] = None
         if keyed:
             if not key_out:

@@ -10,23 +10,50 @@ manifest.  ``_seal_segment``, ``_write_column`` and
 manifest fingerprint they produce, which proves it.  Everything else
 (lock, manifest encoding, sequence numbers) is the current store's, which
 that test also covers.
+
+:func:`reference_encode_object_column` is the object-column encoder as it
+was before plain strings skipped ``sanitize_nonfinite``, verbatim: the
+schema-1 writer encodes with it, and the current encoder is
+property-tested against it.
 """
 
 import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.store import ColumnStore, columnar
 from repro.store.columnar import (
     _check_column_name,
-    _encode_object_column,
     _numeric_stats,
     _object_stats,
 )
+from repro.utils import sanitize_nonfinite
+
+
+def reference_encode_object_column(
+    arr: np.ndarray,
+) -> Tuple[np.ndarray, List[Any]]:
+    """Dictionary-encode an object column: int32 codes + strict-JSON pool."""
+    codes = np.empty(len(arr), dtype=np.int32)
+    pool: List[Any] = []
+    index: Dict[Any, int] = {}
+    for i, value in enumerate(arr):
+        safe = sanitize_nonfinite(value)
+        if isinstance(safe, str):
+            key: Any = ("s", safe)
+        else:
+            key = ("j", json.dumps(safe, sort_keys=True, default=str))
+        code = index.get(key)
+        if code is None:
+            code = len(pool)
+            index[key] = code
+            pool.append(safe)
+        codes[i] = code
+    return codes, pool
 
 
 class SchemaOneStore(ColumnStore):
@@ -82,7 +109,8 @@ class SchemaOneStore(ColumnStore):
             data = np.ascontiguousarray(arr, np.float64)
             np.save(seg_dir / f"{name}.npy", data)
             return "float64", _numeric_stats(data)
-        codes, pool = _encode_object_column(np.asarray(arr, dtype=object))
+        codes, pool = reference_encode_object_column(
+            np.asarray(arr, dtype=object))
         np.save(seg_dir / f"{name}.codes.npy", codes)
         (seg_dir / f"{name}.values.json").write_text(
             json.dumps(pool, allow_nan=False, default=str)

@@ -12,6 +12,9 @@ groups and int, float and object keys:
 * ``Query.apply_store`` ≡ ``Query.apply`` and ``build_report_from_store``
   ≡ ``build_report(store.to_frame())`` over stores with zone maps,
   without them (legacy) and backfilled, with superseded keys;
+* a served ``/query`` ≡ the envelope plus ``Query.apply(store.to_frame())``
+  ≡ the unprojected apply (``_finish`` over ``frame.filter``), errors
+  included, over keyed and unkeyed multi-segment stores;
 * ``filter`` ≡ ``perf.suite._rowloop_filter``, ``group_by`` ≡
   ``_group_by_rows`` and ``join_baseline`` ≡ ``_join_baseline_rows``, on
   key columns of every kind, NaN and mixed types included, and keys with
@@ -25,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.analysis.frame import (
     ResultFrame,
@@ -33,14 +36,16 @@ from repro.analysis.frame import (
     _dominated_pairwise,
     _factorize_strings,
 )
-from repro.analysis.query import compile_query
+from repro.analysis.query import QueryError, compile_query
 from repro.analysis.report import (
     build_report,
     build_report_from_store,
     report_json_text,
 )
 from repro.experiment.prune import BASELINE_STRATEGY
+from repro.serve import FrameSource, ResultsServer
 from repro.store import ColumnStore
+from repro.utils import json_text
 
 NAN, INF = float("nan"), float("inf")
 
@@ -518,6 +523,150 @@ class TestStoreContracts:
                 store.to_frame(), y=y, outstanding=outstanding))
             assert report_json_text(build_report_from_store(
                 store, y=y, outstanding=outstanding)) == expected
+
+
+@st.composite
+def served_segments(draw):
+    """``(segments of (frame, keys or None))`` for a keyed or an unkeyed
+    store of several segments: later keyed segments supersede earlier
+    keys, ``w`` is int64 in some segments and float64 in others, ``z``
+    is missing from some (NaN there), ``o`` holds None and NaN among its
+    strings, and ``s`` holds strings only."""
+    keyed = draw(st.booleans())
+    segments = []
+    used = []
+    for s in range(draw(st.integers(2, 4))):
+        floats = draw(st.booleans())
+        with_z = draw(st.booleans())
+        rows = []
+        keys = []
+        for i in range(draw(st.integers(1, 5))):
+            key = draw(st.sampled_from(used)) if used and draw(st.booleans()) \
+                else f"row-{s}-{i}"
+            keys.append(key if key not in keys else f"row-{s}-{i}")
+            w = draw(st.integers(0, 3))
+            row = {
+                "s": draw(st.sampled_from(["a", "b", "ab"])),
+                "o": draw(st.sampled_from(["x", "y", None, NAN])),
+                "k": draw(st.integers(0, 3)),
+                "w": w + 0.5 if floats else w,
+                "v": draw(st.sampled_from([0.5, 1.5, -0.0, NAN, INF])),
+            }
+            if with_z:
+                row["z"] = draw(st.integers(0, 2))
+            rows.append(row)
+        used.extend(keys)
+        segments.append((ResultFrame.from_records(rows),
+                         keys if keyed else None))
+    return segments
+
+
+SERVED_COLUMNS = ["s", "o", "k", "w", "v", "z"]
+#: ``nope`` names no column: documents naming it must fail alike
+SORTABLE = st.sampled_from(["s", "k", "w", "v", "z", "nope"])
+GROUP_KEYS = st.sampled_from(["s", "k", "w", "z"] * 2 + ["nope"])
+FILTER_ITEMS = st.one_of(
+    st.tuples(st.just("s"), st.sampled_from(["a", "b", "ab"])),
+    st.tuples(st.just("o"), st.sampled_from(["x", "y", None])),
+    st.tuples(st.sampled_from(["k", "w", "z"]), st.integers(0, 3)),
+    st.tuples(st.sampled_from(["k", "o", "s"]),
+              st.lists(st.sampled_from([0, 1, "a", "x", None]), max_size=3)),
+    st.tuples(st.sampled_from(["v", "w", "k", "z"]), st.fixed_dictionaries({
+        "op": st.sampled_from(["<", ">=", "!=", "==", "in", "not-in"]),
+        "value": st.sampled_from([0.5, 1, 2]),
+    }).map(lambda spec: spec if spec["op"] not in ("in", "not-in")
+           else {**spec, "value": [spec["value"], 0]})),
+    # ordering strings works on ``s``; on ``o`` a NaN makes it raise
+    st.tuples(st.sampled_from(["s", "o"]), st.fixed_dictionaries({
+        "op": st.sampled_from(["<", ">"]), "value": st.just("b")})),
+    st.tuples(st.just("nope"), st.just(1)),
+)
+
+
+def served_shapes(doc):
+    """A select, an aggregate or a group_by over ``doc``'s filter and
+    page."""
+    base = {key: st.just(value) for key, value in doc.items()}
+    return st.one_of(
+        st.fixed_dictionaries(base, optional={
+            "sort": st.lists(SORTABLE, min_size=1, max_size=2),
+            "columns": st.lists(st.sampled_from(SERVED_COLUMNS + ["nope"]),
+                                min_size=1, max_size=3, unique=True),
+        }),
+        st.fixed_dictionaries({**base, "aggregate": st.fixed_dictionaries({
+            "by": st.lists(GROUP_KEYS, min_size=1, max_size=2, unique=True),
+        }, optional={
+            "values": st.lists(st.sampled_from(["v", "w", "k", "nope"]),
+                               max_size=2, unique=True),
+            "stats": st.just(["mean", "max"]),
+        })}, optional={"sort": st.sampled_from(["n", "s", "k"])}),
+        st.fixed_dictionaries({**base, "group_by": st.lists(
+            GROUP_KEYS, min_size=1, max_size=2, unique=True)},
+            optional={"sort": st.just("n")}),
+    )
+
+
+SERVED_DOCS = st.fixed_dictionaries({
+    "filter": st.lists(FILTER_ITEMS, max_size=2).map(dict),
+}, optional={
+    "limit": st.integers(1, 4),
+    "offset": st.integers(0, 3),
+}).flatmap(served_shapes)
+
+
+def unprojected_apply(query, frame):
+    """``Query.apply`` before it projected: every column of the filtered
+    rows goes through the later stages."""
+    query._checked_columns(frame, query.filter, "filter")
+    try:
+        rows = frame.filter(**query.filter) if query.filter else frame
+    except ValueError as exc:
+        raise QueryError(str(exc)) from exc
+    return query._finish(frame, rows)
+
+
+#: two unkeyed segments whose ``o`` holds a NaN and a string: ordering
+#: ``o`` raises, and the mask raises before any name is checked
+INCOMPARABLE = [
+    (ResultFrame.from_records(
+        [{"s": "a", "o": NAN, "k": 0, "w": 0, "v": 0.5}]), None),
+    (ResultFrame.from_records(
+        [{"s": "b", "o": "x", "k": 1, "w": 1, "v": 1.5}]), None),
+]
+OPS_ON_O = {"o": {"op": "<", "value": "b"}}
+
+
+class TestServedQuery:
+    @settings(max_examples=200, deadline=None)
+    @given(segments=served_segments(), doc=SERVED_DOCS)
+    @example(segments=INCOMPARABLE, doc={"filter": OPS_ON_O, "sort": "nope"})
+    @example(segments=INCOMPARABLE,
+             doc={"filter": OPS_ON_O, "aggregate": {"by": ["nope"]}})
+    def test_body_is_apply_on_the_store_frame(self, segments, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            store = ColumnStore(Path(tmp) / "store")
+            for frame, keys in segments:
+                store.append_frame(frame, keys=keys)
+            server = ResultsServer([FrameSource("s", path=store.root)])
+            snapshot = server.sources["s"].load()
+            frame = store.to_frame()
+            response = server.dispatch(
+                "POST", "/query", {}, json.dumps(doc).encode())
+        query = compile_query(doc)
+        try:
+            expected = unprojected_apply(query, frame)
+        except QueryError as exc:
+            assert response.status == 400
+            assert json.loads(response.text)["error"] == str(exc)
+            with pytest.raises(QueryError) as raised:
+                query.apply(frame)
+            assert str(raised.value) == str(exc)
+            return
+        assert json_text(query.apply(frame)) == json_text(expected)
+        assert response.status == 200
+        assert response.text == json_text({
+            "frame": "s", "fingerprint": snapshot.fingerprint,
+            "generation": snapshot.generation, **query.apply(frame)})
 
 
 #: key pools of every kind the row loops see: NaN (its own group in the

@@ -14,6 +14,7 @@ import pkgutil
 
 import repro
 from repro.experiment import ResultSet
+from repro.registry import Registry
 
 GONE = {
     "repro.models": ("create_model", "register_model", "available_models",
@@ -53,6 +54,9 @@ def test_second_names_are_gone():
     ]
     assert not left, left
     assert not hasattr(ResultSet, "filter")
+    # registering is ``register`` (or ``setdefault``); item assignment
+    # was a second way, and the one that silently replaced a taken name
+    assert not hasattr(Registry, "__setitem__")
 
 
 def test_flag_style_sweep_cli_is_gone():

@@ -103,11 +103,6 @@ class TestMappingProtocol:
         assert sorted(reg.values()) == [1, 2]
         assert dict(reg.items()) == {"a": 1, "b": 2}
 
-    def test_setitem_replaces_silently(self):
-        reg = Registry("widget", {"a": 1})
-        reg["a"] = 9
-        assert reg["a"] == 9
-
     def test_setdefault(self):
         reg = Registry("widget", {"a": 1})
         assert reg.setdefault("a", 9) == 1

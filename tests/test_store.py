@@ -873,18 +873,20 @@ class TestStoreCLIProgress:
 
 
 class TestServePushdown:
-    def test_store_snapshot_carries_planner_handles(self, tmp_path):
+    def test_store_snapshot_holds_no_store_handle(self, tmp_path):
+        """A store-backed snapshot is its loaded frame and the manifest's
+        fingerprint: nothing a request could read the store through."""
         from repro.serve import FrameSource
 
         cache = fill_cache(tmp_path / "cache", n=6)
         store = ColumnStore(tmp_path / "store")
-        store.ingest(cache.root)
+        store.ingest(cache.root, chunk_rows=4)
         snapshot = FrameSource("s", path=store.root).load()
-        assert snapshot.store is not None
-        assert snapshot.store_manifest["fingerprint"] == store.fingerprint()
-        # non-store sources must NOT grow the handles
-        memory = FrameSource.from_frame("m", store.to_frame()).load()
-        assert memory.store is None
+        assert not any(isinstance(value, ColumnStore)
+                       for value in vars(snapshot).values())
+        assert not hasattr(snapshot, "store_manifest")
+        assert snapshot.fingerprint == store.fingerprint()
+        assert_frames_identical(snapshot.frame, store.to_frame())
 
     def test_store_report_text_matches_full_build(self, tmp_path):
         from repro.analysis.report import build_report, report_json_text
@@ -933,27 +935,74 @@ class TestServePushdown:
             assert text == report_json_text(build_report(
                 frame, y=y, outstanding=snapshot.outstanding))
 
-    def test_query_falls_back_when_store_torn(self, tmp_path, monkeypatch):
-        import repro.analysis.query as query_mod
+    def test_query_opens_no_segment(self, tmp_path, monkeypatch):
+        """/query answers from the snapshot's frame: whatever the document,
+        a request reads no segment of the store."""
+        from repro.analysis.query import QueryError, compile_query
+        from repro.serve import FrameSource, ResultsServer
+        from repro.utils import json_text
+
+        store = TestIncrementalReport().make_store(tmp_path)
+        assert len(store.segments()) > 1
+        server = ResultsServer([FrameSource("s", path=store.root)])
+        snapshot = server.sources["s"].load()
+        docs = [
+            {"filter": {"seed": {"op": "<", "value": 4}}, "sort": ["seed"]},
+            {"filter": {"strategy": "random"},
+             "columns": ["strategy", "seed", "top1"], "limit": 3},
+            {"filter": {"compression": [2.0, 4.0]},
+             "aggregate": {"by": ["strategy", "compression"],
+                           "values": ["top1"]}},
+            {"filter": {"seed": 1}, "aggregate": {"by": ["strategy"]}},
+            {"filter": {"top1": {"op": ">=", "value": 0.0}},
+             "group_by": "strategy", "sort": "n"},
+            {"group_by": ["strategy", "compression"], "offset": 1},
+            {"filter": {"nope": 1}},
+            {},
+        ]
+        opened = []
+        real_open = ColumnStore._open_segment
+        monkeypatch.setattr(
+            ColumnStore, "_open_segment",
+            lambda self, entry: opened.append(entry) or real_open(self, entry))
+        envelope = {"frame": "s", "fingerprint": snapshot.fingerprint,
+                    "generation": snapshot.generation}
+        for i in range(20):
+            doc = docs[i % len(docs)]
+            response = server.dispatch(
+                "POST", "/query", {}, json.dumps(doc).encode())
+            try:
+                result = compile_query(doc).apply(snapshot.frame)
+            except QueryError as exc:
+                assert response.status == 400
+                assert json.loads(response.text)["error"] == str(exc)
+            else:
+                assert response.status == 200
+                assert response.text == json_text({**envelope, **result})
+        assert opened == []
+
+    def test_query_answers_after_segments_are_deleted(self, tmp_path):
+        """A compaction racing a request cannot tear it: with every segment
+        file gone, /query answers the rows of the frame loaded before."""
         from repro.analysis.query import compile_query
         from repro.serve import FrameSource, ResultsServer
+        from repro.utils import json_text
 
         cache = fill_cache(tmp_path / "cache", n=8)
         store = ColumnStore(tmp_path / "store")
-        store.ingest(cache.root)
+        store.ingest(cache.root, chunk_rows=3)
         server = ResultsServer([FrameSource("s", path=store.root)])
-        source = server.sources["s"]
-        source.load()
+        snapshot = server.sources["s"].load()
         spec = {"filter": {"seed": {"op": "<", "value": 4}},
                 "sort": ["seed"]}
         expected = compile_query(spec).apply(store.to_frame())
-        monkeypatch.setattr(
-            query_mod.Query, "apply_store",
-            lambda self, st, manifest=None: (_ for _ in ()).throw(
-                OSError("segment deleted by racing compact")))
+        for path in store.segments_dir.iterdir():
+            path.unlink()
+        with pytest.raises(StoreError):
+            store.to_frame()
         response = server.dispatch(
             "POST", "/query", {}, json.dumps(spec).encode())
         assert response.status == 200
-        payload = json.loads(response.text)
-        assert payload["rows"] == json.loads(
-            json.dumps(expected["rows"], default=float))
+        assert response.text == json_text({
+            "frame": "s", "fingerprint": snapshot.fingerprint,
+            "generation": snapshot.generation, **expected})

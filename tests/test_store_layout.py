@@ -16,7 +16,10 @@
 import json
 import mmap
 import os
+import subprocess
+import sys
 import tempfile
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +30,7 @@ from repro.analysis.frame import ResultFrame
 from repro.analysis.report import build_report_from_store, report_json_text
 from repro.experiment.cache import spec_hash
 from repro.store import ColumnStore, StoreError, columnar
-from store_fixtures import SchemaOneStore
+from store_fixtures import SchemaOneStore, reference_encode_object_column
 from test_frame_properties import column, store_segments
 from test_store import synth_row, synth_spec
 
@@ -150,6 +153,35 @@ class TestSegmentFile:
         unkeyed.to_frame(columns=["i", "f", "s", "t"])
         assert opened == [entry["name"] for entry in unkeyed.segments()]
 
+    def test_a_read_of_many_segments_keeps_no_map_open(self, tmp_path):
+        """Each segment's map holds a file descriptor, so a read lets go of
+        a segment before it opens the next: 300 segments read under a
+        limit of 256 descriptors, whole, projected and served."""
+        pytest.importorskip("resource")
+        store = ColumnStore(tmp_path / "store")
+        for i in range(300):
+            store.append_frame(ResultFrame.from_records(
+                [{"i": i, "f": i / 2, "s": f"s{i % 3}"}]), keys=[f"k{i}"])
+        script = textwrap.dedent("""
+            import resource, sys
+            from repro.serve import FrameSource
+            from repro.store import ColumnStore
+
+            _, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+            resource.setrlimit(resource.RLIMIT_NOFILE, (min(256, hard), hard))
+            store = ColumnStore(sys.argv[1])
+            assert store.to_frame()["i"].tolist() == list(range(300))
+            assert store.to_frame(columns=["f", "s"])["s"][-1] == "s2"
+            assert len(FrameSource("s", store.root).load().frame) == 300
+        """)
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(store.root)],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+
     def test_keys_and_stats_read_the_file(self, tmp_path):
         store = ColumnStore(tmp_path / "store")
         store.append_frame(probe_frame(), keys=["a", "b"])
@@ -161,6 +193,38 @@ class TestSegmentFile:
         assert not isinstance(mapped_object(keys), mmap.mmap)
         assert store._stats_from_disk(entry) == entry["stats"]
         assert store.stats()["size_bytes"] == segment_path(store).stat().st_size
+
+
+#: object-column values of every kind an encoder sanitizes differently:
+#: plain and numpy strings (equal ones share a pool entry), None,
+#: non-finite and signed-zero floats, bools, ints, lists and dicts
+OBJECT_VALUES = st.one_of(
+    st.text(max_size=3),
+    st.text(max_size=3).map(np.str_),
+    st.none(),
+    st.sampled_from([NAN, INF, -INF, 0.0, -0.0, 1.5]),
+    st.booleans(),
+    st.integers(-2, 2),
+    st.lists(st.sampled_from([0, NAN, "a", None]), max_size=2),
+    st.dictionaries(st.sampled_from(["k", "v"]),
+                    st.sampled_from([1, INF, "a", None]), max_size=2),
+)
+
+
+class TestObjectEncoding:
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(OBJECT_VALUES, max_size=12))
+    def test_encoder_matches_the_reference(self, values):
+        arr = np.empty(len(values), dtype=object)
+        for i, value in enumerate(values):
+            arr[i] = value
+        codes, pool = columnar._encode_object_column(arr)
+        ref_codes, ref_pool = reference_encode_object_column(arr)
+        assert codes.dtype == ref_codes.dtype
+        assert codes.tolist() == ref_codes.tolist()
+        assert [type(v) for v in pool] == [type(v) for v in ref_pool]
+        assert json.dumps(pool, allow_nan=False, default=str) == \
+            json.dumps(ref_pool, allow_nan=False, default=str)
 
 
 class TestDamagedSegments:
